@@ -198,19 +198,6 @@ def _find_cartan(a: StructureAlgebra, cartan_hint, seed: int):
         return family
 
     rng = random.Random(seed)
-
-    def candidate_stream():
-        for i in range(n):
-            yield a.basis_vector(i)
-        while True:
-            vec = list(zero_vector(field, n))
-            for _ in range(rng.randint(2, 3)):
-                i = rng.randrange(n)
-                c = rng.randint(-2, 2)
-                if c:
-                    vec[i] = vec[i] + field.from_rational(c)
-            yield tuple(vec)
-
     family = []
     span = SpanSolver(field, n)
     budget = 6 * n + 60

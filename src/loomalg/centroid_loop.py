@@ -10,9 +10,9 @@ audit are exact.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+from math import gcd
 
-from .errors import HypothesisNotMet, LoomError
+from .errors import HypothesisNotMet, InvariantViolated, LoomError
 from .exactnum import CycloNumber
 from .findim import (
     StructureAlgebra,
@@ -214,8 +214,8 @@ def centroid_tower(tower: LoopTower):
     d = base.dim
     solver = SpanSolver(field, d * d)
     for mp in maps:
-        ok = solver.add(mp.flat())
-        assert ok, "centroid basis must be independent"
+        if not solver.add(mp.flat()):
+            raise InvariantViolated("centroid basis must be independent")
     stages = []
     for stage in tower.stages:
         theta = stage.twist.theta
@@ -225,9 +225,8 @@ def centroid_tower(tower: LoopTower):
             conj = mat_mul(mat_mul(theta.matrix, mp.matrix), theta_inv)
             flat = tuple(v for row in conj for v in row)
             coords = solver.express(flat)
-            assert coords is not None, (
-                "conjugation left the centroid span"
-            )
+            if coords is None:
+                raise InvariantViolated("conjugation left the centroid span")
             cols.append(tuple(coords.get(s, field.zero) for s in range(r)))
         matrix = tuple(zip(*cols))
         theta_hat = FiniteOrderAuto(calg, matrix)
@@ -444,7 +443,7 @@ def kind_classify(tower: LoopTower) -> KindVerdict:
                 "character value at the first modulus is not a root of "
                 "unity of the second modulus"
             )
-        p2 = _gcd(e, m2)
+        p2 = gcd(e, m2)
         n2 = m2 // p2
         r_prime = e // p2
         s = pow(r_prime, -1, n2) if n2 > 1 else 0
@@ -502,12 +501,6 @@ def kind_classify(tower: LoopTower) -> KindVerdict:
             "relation": "w^2 = (u1^2 - 4 rho) u2",
         },
     )
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def first_kind_iso_hint(field, rho_a: CycloNumber, rho_b: CycloNumber):

@@ -68,3 +68,11 @@ class Undecided(LoomError):
     """The bounded search underlying a decision procedure was exhausted."""
 
     code = "undecided"
+
+
+class InvariantViolated(LoomError):
+    """An exact computation broke an invariant that its mathematics
+    guarantees (say, a certificate missing from a span that must hold it).
+    This signals a library defect, never a property of the input."""
+
+    code = "invariant-violated"

@@ -24,11 +24,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _divisors(n):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
-
-
 def euler_phi(n: int) -> int:
     count = 0
     for k in range(1, n + 1):
@@ -147,14 +142,6 @@ class CycloField:
                     if red[i]:
                         out[i] += c * red[i]
         return out
-
-    def element_sum(self, items) -> "CycloNumber":
-        acc = [_ZERO] * self.degree
-        for x in items:
-            for i, c in enumerate(x.coeffs):
-                if c:
-                    acc[i] += c
-        return CycloNumber(self, tuple(acc))
 
 
 class CycloNumber:

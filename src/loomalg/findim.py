@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .errors import DimensionMismatch, Undecided
+from .errors import DimensionMismatch, InvariantViolated, Undecided
 from .exactnum import CycloField
 from .linalg import (
     SpanSolver,
@@ -257,7 +257,8 @@ def sl_algebra(n: int, field: CycloField) -> StructureAlgebra:
                 )
             )
             coords = solver.express(comm)
-            assert coords is not None, "commutator left the traceless span"
+            if coords is None:
+                raise InvariantViolated("commutator left the traceless span")
             vec = [field.zero] * dim
             for g, c in coords.items():
                 vec[g] = c
@@ -397,28 +398,18 @@ def is_perfect(a: StructureAlgebra) -> bool:
     return solver.dim == a.dim
 
 
-def product_span(a: StructureAlgebra) -> Subspace:
-    return Subspace(
-        a.field, a.dim, [a.table[i][j] for i in range(a.dim) for j in range(a.dim)]
-    )
-
-
 def mult_module_closure(a: StructureAlgebra, vectors) -> Subspace:
     """Smallest subspace containing the vectors and stable under all
     left and right multiplications (the ideal generated by them)."""
     solver = SpanSolver(a.field, a.dim)
-    queue = []
-    for v in vectors:
-        if solver.add(v):
-            queue.append(v)
-    while queue:
-        w = queue.pop()
+    spanning = [v for v in vectors if solver.add(v)]
+    for w in spanning:  # the list grows while it is walked
         for i in range(a.dim):
             for m in (a.left_mult_matrix(i), a.right_mult_matrix(i)):
                 u = mat_apply(m, w)
                 if solver.add(u):
-                    queue.append(u)
-    return Subspace(a.field, a.dim, [row for row, _ in solver.rows])
+                    spanning.append(u)
+    return Subspace(a.field, a.dim, spanning)
 
 
 def ideal_generated(a: StructureAlgebra, x) -> Subspace:
@@ -498,9 +489,8 @@ def centroid(a: StructureAlgebra) -> list[LinearMap]:
     # the identity must lie in the span
     flat = [mp.flat() for mp in maps]
     probe = Subspace(a.field, n * n, flat)
-    assert probe.contains(LinearMap.identity(a.field, n).flat()), (
-        "centroid span lost the identity map"
-    )
+    if not probe.contains(LinearMap.identity(a.field, n).flat()):
+        raise InvariantViolated("centroid span lost the identity map")
     return maps
 
 
@@ -526,13 +516,18 @@ def centroid_algebra(a: StructureAlgebra):
         for j in range(r):
             comp = maps[i].compose(maps[j])
             coords = solver.express(comp.flat())
-            assert coords is not None, "centroid is not closed under composition"
+            if coords is None:
+                raise InvariantViolated(
+                    "centroid is not closed under composition"
+                )
             vec = [field.zero] * r
             for g, c in coords.items():
                 vec[g] = c
             row.append(tuple(vec))
         constants.append(row)
     ident = solver.express(LinearMap.identity(field, a.dim).flat())
+    if ident is None:
+        raise InvariantViolated("centroid span lost the identity map")
     unit = [field.zero] * r
     for g, c in ident.items():
         unit[g] = c

@@ -8,7 +8,7 @@ over a field with several roots of the same order is unambiguous.
 
 from __future__ import annotations
 
-from .errors import InvalidGrading, NotAnAutomorphism
+from .errors import InvalidGrading, InvariantViolated, NotAnAutomorphism
 from .exactnum import CycloNumber, root_of_unity_order
 from .findim import LinearMap, StructureAlgebra, centroid, centroid_algebra
 from .linalg import (
@@ -184,7 +184,8 @@ def grading_from_auto(auto: FiniteOrderAuto, zeta: CycloNumber) -> ModGrading:
         comp = Subspace(field, n, kernel_basis(rows, n, field))
         comps.append(comp)
         total += comp.dim
-    assert total == n, "eigenspaces failed to fill the algebra"
+    if total != n:
+        raise InvariantViolated("eigenspaces failed to fill the algebra")
     return ModGrading(algebra, m, zeta, comps)
 
 
@@ -315,6 +316,7 @@ def centroid_grading(grading: ModGrading) -> CentroidGrading:
         component_maps.append(tuple(comp_maps))
         coord_subspaces.append(Subspace(field, r, sols))
     total = sum(len(c) for c in component_maps)
-    assert total == r, "centroid grading failed to fill the centroid"
+    if total != r:
+        raise InvariantViolated("centroid grading failed to fill the centroid")
     coord_grading = ModGrading(calg, m, grading.zeta, coord_subspaces)
     return CentroidGrading(grading, calg, maps, tuple(component_maps), coord_grading)

@@ -1,14 +1,18 @@
 """Exact linear algebra over a cyclotomic field.
 
-Vectors are tuples of CycloNumber and matrices are tuples of rows.  Every
-elimination produces reduced row echelon form with leftmost pivots, so each
-subspace has exactly one stored basis and subspace equality is equality of
-representations.  Nothing here is ever numeric: all pivots are exact.
+Vectors are tuples of CycloNumber and matrices are tuples of rows.  All
+elimination runs in one engine, SparseEchelon: a row echelon over sparse
+dict rows whose pivot is the smallest column key.  rref, kernel_basis,
+Subspace and SpanSolver are dense front ends that translate to and from it.
+rref back-eliminates the echelon and returns reduced row echelon form with
+leftmost pivots, which is unique, so each subspace has exactly one stored
+basis and subspace equality is equality of representations.  Nothing here
+is ever numeric: all pivots are exact.
 """
 
 from __future__ import annotations
 
-from .exactnum import CycloField, CycloNumber
+from .exactnum import CycloField
 
 
 def zero_vector(field: CycloField, n: int) -> tuple:
@@ -21,10 +25,6 @@ def unit_vector(field: CycloField, n: int, i: int) -> tuple:
 
 def vec_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def vec_scale(c, a):
@@ -72,58 +72,129 @@ def trace(m):
     return sum((m[i][i] for i in range(len(m))), start=m[0][0].field.zero)
 
 
+class SparseEchelon:
+    """Row echelon accumulator over arbitrary orderable column keys.
+
+    Rows are sparse dicts; the pivot of a row is its smallest key and its
+    entry there is one.  The dense front ends below use integer column
+    keys; the large homogeneous constraint systems use (degree, component)
+    pairs.
+    """
+
+    def __init__(self):
+        self.rows: dict = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def _eliminate(self, work: dict, rest: dict | None):
+        """Clear pivot keys from work, smallest key first, by subtracting
+        multiples of pivot rows.  Keys without a pivot row move to rest; with
+        rest None the loop stops at the first such key and returns it, and
+        work keeps that key and everything after it."""
+        rows = self.rows
+        while work:
+            k = min(work)
+            piv = rows.get(k)
+            if piv is None:
+                if rest is None:
+                    return k
+                rest[k] = work.pop(k)
+                continue
+            c = work.pop(k)
+            for kk, vv in piv.items():
+                if kk == k:
+                    continue
+                cur = work.get(kk)
+                nv = (cur - c * vv) if cur is not None else -(c * vv)
+                if nv:
+                    work[kk] = nv
+                else:
+                    work.pop(kk, None)
+        return None
+
+    def add_row(self, row: dict):
+        """Reduce and insert; returns the new pivot key or None if dependent."""
+        work = {k: v for k, v in row.items() if v}
+        k = self._eliminate(work, None)
+        if k is not None:
+            c = work[k].inverse()
+            self.rows[k] = {kk: c * vv for kk, vv in work.items()}
+        return k
+
+    def reduce_vector(self, row: dict) -> dict:
+        """Residual of a vector against the accumulated row space."""
+        out = {}
+        self._eliminate({k: v for k, v in row.items() if v}, out)
+        return out
+
+    def _back_eliminate(self):
+        # from the last pivot down, so every row subtracted is already reduced
+        for p in sorted(self.rows, reverse=True):
+            row = self.rows[p]
+            reduced = {p: row.pop(p)}
+            self._eliminate(row, reduced)
+            self.rows[p] = reduced
+
+    def kernel(self, keys, field: CycloField):
+        """Canonical kernel basis over the full ordered key list.
+
+        Returns a list of sparse dicts, one per free key, in key order.
+        """
+        self._back_eliminate()
+        pivot_set = set(self.rows)
+        out = []
+        for f in keys:
+            if f in pivot_set:
+                continue
+            vec = {f: field.one}
+            for p, row in self.rows.items():
+                c = row.get(f)
+                if c:
+                    vec[p] = -c
+            out.append(vec)
+        return out
+
+
+def _sparse(vec) -> dict:
+    return {j: x for j, x in enumerate(vec) if x}
+
+
+def _dense(row: dict, n: int, zero) -> tuple:
+    return tuple(row.get(j, zero) for j in range(n))
+
+
+def _echelon_of(rows) -> SparseEchelon:
+    ech = SparseEchelon()
+    for row in rows:
+        ech.add_row(_sparse(row))
+    return ech
+
+
 def rref(rows):
     """Reduced row echelon form.
 
     Returns (reduced_rows, pivot_columns); zero rows are dropped and pivots
     are the lexicographically first possible set (leftmost column first).
     """
-    work = [list(r) for r in rows if not vec_is_zero(r)]
-    if not work:
+    rows = list(rows)
+    ech = _echelon_of(rows)
+    if not ech.rows:
         return (), ()
-    ncols = len(work[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(r, len(work)):
-            if work[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        work[r], work[sel] = work[sel], work[r]
-        lead = work[r][col]
-        if lead != 1:
-            inv = lead.inverse()
-            work[r] = [inv * x for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col]:
-                c = work[i][col]
-                work[i] = [a - c * b for a, b in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(work):
-            break
-    reduced = tuple(tuple(row) for row in work[:r])
-    return reduced, tuple(pivots)
+    ech._back_eliminate()
+    pivots = tuple(sorted(ech.rows))
+    zero = ech.rows[pivots[0]][pivots[0]].field.zero
+    ncols = len(rows[0])
+    return tuple(_dense(ech.rows[p], ncols, zero) for p in pivots), pivots
 
 
 def kernel_basis(rows, ncols, field):
     """Canonical basis of the right kernel of the matrix given by rows."""
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [field.zero] * ncols
-        v[f] = field.one
-        for k, p in enumerate(pivots):
-            c = reduced[k][f]
-            if c:
-                v[p] = -c
-        basis.append(tuple(v))
-    return basis
+    return [
+        _dense(v, ncols, field.zero)
+        for v in _echelon_of(rows).kernel(range(ncols), field)
+    ]
 
 
 def solve_matvec(m, b, field):
@@ -161,12 +232,13 @@ def charpoly(m, field: CycloField):
 class Subspace:
     """A subspace of a fixed coordinate space, held in canonical reduced form."""
 
-    __slots__ = ("field", "ambient", "basis", "pivots")
+    __slots__ = ("field", "ambient", "basis", "pivots", "_echelon")
 
     def __init__(self, field: CycloField, ambient: int, vectors=()):
         self.field = field
         self.ambient = ambient
         self.basis, self.pivots = rref(vectors) if vectors else ((), ())
+        self._echelon = None
 
     @property
     def dim(self) -> int:
@@ -174,12 +246,14 @@ class Subspace:
 
     def residual(self, vec):
         """vec minus its projection on the span; zero iff vec belongs."""
-        v = list(vec)
-        for row, p in zip(self.basis, self.pivots):
-            c = v[p]
-            if c:
-                v = [a - c * b for a, b in zip(v, row)]
-        return tuple(v)
+        if self._echelon is None:
+            # the canonical rows already form a reduced echelon
+            self._echelon = SparseEchelon()
+            self._echelon.rows = {
+                p: _sparse(row) for row, p in zip(self.basis, self.pivots)
+            }
+        rest = self._echelon.reduce_vector(_sparse(vec))
+        return _dense(rest, len(vec), self.field.zero)
 
     def contains(self, vec) -> bool:
         return vec_is_zero(self.residual(vec))
@@ -233,155 +307,44 @@ class SpanSolver:
 
     Generators are added one at a time; express() rewrites a vector as a
     combination of the generators actually added (by index), or returns None
-    when the vector lies outside the span.
+    when the vector lies outside the span.  Generator g enters the echelon
+    tagged with a one in the extra column ambient + g, after the coordinate
+    columns, so reducing a vector leaves minus its coordinates in the tag
+    columns.
     """
 
     def __init__(self, field: CycloField, ambient: int):
         self.field = field
         self.ambient = ambient
-        self.rows = []  # (reduced vector, combo dict over generator indices)
-        self.pivot_of_row = []
         self.count = 0
+        self._echelon = SparseEchelon()
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return self._echelon.rank
 
-    def _reduce(self, vec):
-        v = list(vec)
-        combo = {}
-        for (row, rcombo), p in zip(self.rows, self.pivot_of_row):
-            c = v[p]
-            if c:
-                v = [a - c * b for a, b in zip(v, row)]
-                for g, coeff in rcombo.items():
-                    combo[g] = combo.get(g, self.field.zero) - c * coeff
-        return v, combo
+    def _residual(self, vec):
+        """Reduced vec and whether it lies in the span (no coordinate left)."""
+        rest = self._echelon.reduce_vector(_sparse(vec))
+        return rest, not rest or min(rest) >= self.ambient
 
     def add(self, vec) -> bool:
         """Add a generator; True when it enlarged the span."""
         idx = self.count
         self.count += 1
-        v, combo = self._reduce(vec)
-        pivot = next((i for i, x in enumerate(v) if x), None)
-        if pivot is None:
+        rest, inside = self._residual(vec)
+        if inside:
             return False
-        inv = v[pivot].inverse()
-        v = [inv * x for x in v]
-        combo = {g: inv * c for g, c in combo.items()}
-        combo[idx] = combo.get(idx, self.field.zero) + inv
-        # keep rows ordered by pivot so reduction stays canonical
-        pos = 0
-        while pos < len(self.pivot_of_row) and self.pivot_of_row[pos] < pivot:
-            pos += 1
-        self.rows.insert(pos, (v, combo))
-        self.pivot_of_row.insert(pos, pivot)
+        rest[self.ambient + idx] = self.field.one
+        self._echelon.add_row(rest)
         return True
 
     def contains(self, vec) -> bool:
-        v, _ = self._reduce(vec)
-        return all(x.is_zero() for x in v)
+        return self._residual(vec)[1]
 
     def express(self, vec):
         """Combination dict {generator index: coefficient} with vec = sum, or None."""
-        v, combo = self._reduce(vec)
-        if not all(x.is_zero() for x in v):
+        rest, inside = self._residual(vec)
+        if not inside:
             return None
-        return {g: -c for g, c in combo.items() if c}
-
-
-class SparseEchelon:
-    """Row echelon accumulator over arbitrary orderable column keys.
-
-    Rows are sparse dicts; the pivot of a row is its smallest key.  Used for
-    the large homogeneous constraint systems where columns are indexed by
-    (degree, component) pairs rather than flat integers.
-    """
-
-    def __init__(self):
-        self.rows: dict = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def add_row(self, row: dict):
-        """Reduce and insert; returns the new pivot key or None if dependent."""
-        work = {k: v for k, v in row.items() if v}
-        while work:
-            k = min(work)
-            piv = self.rows.get(k)
-            if piv is None:
-                c = work[k].inverse()
-                self.rows[k] = {kk: c * vv for kk, vv in work.items()}
-                return k
-            c = work.pop(k)
-            for kk, vv in piv.items():
-                if kk == k:
-                    continue
-                cur = work.get(kk)
-                nv = (cur - c * vv) if cur is not None else -(c * vv)
-                if nv:
-                    work[kk] = nv
-                else:
-                    work.pop(kk, None)
-        return None
-
-    def reduce_vector(self, row: dict) -> dict:
-        """Residual of a vector against the accumulated row space."""
-        work = {k: v for k, v in row.items() if v}
-        out = {}
-        while work:
-            k = min(work)
-            piv = self.rows.get(k)
-            c = work.pop(k)
-            if piv is None:
-                out[k] = c
-                continue
-            for kk, vv in piv.items():
-                if kk == k:
-                    continue
-                cur = work.get(kk)
-                nv = (cur - c * vv) if cur is not None else -(c * vv)
-                if nv:
-                    work[kk] = nv
-                else:
-                    work.pop(kk, None)
-        return out
-
-    def _back_eliminate(self):
-        for p in sorted(self.rows, reverse=True):
-            row = self.rows[p]
-            hits = [q for q in row if q != p and q in self.rows]
-            while hits:
-                for q in hits:
-                    c = row.pop(q)
-                    for kk, vv in self.rows[q].items():
-                        if kk == q:
-                            continue
-                        cur = row.get(kk)
-                        nv = (cur - c * vv) if cur is not None else -(c * vv)
-                        if nv:
-                            row[kk] = nv
-                        else:
-                            row.pop(kk, None)
-                hits = [q for q in row if q != p and q in self.rows]
-
-    def kernel(self, keys, field: CycloField):
-        """Canonical kernel basis over the full ordered key list.
-
-        Returns a list of sparse dicts, one per free key, in key order.
-        """
-        self._back_eliminate()
-        pivot_set = set(self.rows)
-        out = []
-        for f in keys:
-            if f in pivot_set:
-                continue
-            vec = {f: field.one}
-            for p, row in self.rows.items():
-                c = row.get(f)
-                if c:
-                    vec[p] = -c
-            out.append(vec)
-        return out
+        return {k - self.ambient: -c for k, c in rest.items()}

@@ -192,11 +192,6 @@ class LaurentElement:
         support = {deg + (int(j),): vec for deg, vec in self.support.items()}
         return LaurentElement(self.field, self.arity + 1, self.base_dim, support)
 
-    def as_vector(self):
-        if self.arity != 0:
-            raise DimensionMismatch("not an arity-0 element")
-        return self.coefficient(())
-
     def in_box(self, box: DegreeBox) -> bool:
         return all(box.contains(deg) for deg in self.support)
 

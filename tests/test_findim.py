@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from loomalg.errors import DimensionMismatch
+from loomalg.errors import DimensionMismatch, LoomError
 from loomalg.exactnum import CycloField
 from loomalg.findim import (
     LinearMap,
@@ -261,6 +261,15 @@ def test_centroid_algebra_of_direct_sum_is_two_dimensional():
     assert calg.dim == 2 and len(maps) == 2
     assert is_commutative(calg) and is_associative(calg)
     assert calg.unit is not None
+
+
+def test_centroid_algebra_missing_certificate_is_a_coded_error(monkeypatch):
+    # a product of centroid maps outside the centroid span is a library
+    # defect; it must stop with a coded error, also under python -O
+    monkeypatch.setattr(SpanSolver, "express", lambda self, vec: None)
+    with pytest.raises(LoomError) as info:
+        centroid_algebra(matrix_algebra(2, F1))
+    assert info.value.code == "invariant-violated"
 
 
 # -- simplicity and ideals --------------------------------------------------

@@ -58,6 +58,15 @@ def to_sympy_gauss(m):
 # -- rref / rank / kernel ---------------------------------------------------
 
 
+def assert_rref_is_sympys(reduced, pivots, want, want_pivots, to_sympy):
+    assert pivots == want_pivots
+    assert len(reduced) == len(pivots)
+    # sympy keeps the zero rows at the bottom; ours drops them
+    for k, row in enumerate(reduced):
+        diff = to_sympy((row,)) - want[k, :]
+        assert all(sympy.simplify(x) == 0 for x in diff)
+
+
 def test_rref_rank_matches_sympy():
     rng = random.Random(SEED)
     for _ in range(15):
@@ -66,11 +75,26 @@ def test_rref_rank_matches_sympy():
         reduced, pivots = rref(m)
         assert len(reduced) == len(pivots)
         assert len(pivots) == to_sympy_rational(m).rank()
+        assert_rref_is_sympys(
+            reduced, pivots, *to_sympy_rational(m).rref(), to_sympy_rational
+        )
         # pivot columns carry unit vectors
         for k, p in enumerate(pivots):
             col = [row[p] for row in reduced]
             assert col[k] == F1.one
             assert all(not col[i] for i in range(len(reduced)) if i != k)
+    for _ in range(10):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        m = tuple(
+            tuple(
+                F4.from_coeffs([rng.randint(-2, 2), rng.randint(-2, 2)])
+                for _ in range(cols)
+            )
+            for _ in range(rows)
+        )
+        assert_rref_is_sympys(
+            *rref(m), *to_sympy_gauss(m).rref(simplify=True), to_sympy_gauss
+        )
 
 
 def test_rref_is_idempotent():
@@ -222,16 +246,24 @@ def test_span_solver_express_certificates():
     rng = random.Random(SEED + 8)
     solver = SpanSolver(F4, 5)
     gens = [rand_matrix(rng, F4, 1, 5, span=3)[0] for _ in range(4)]
-    for g in gens:
-        solver.add(g)
+    # a dependent generator between independent ones keeps its index but
+    # never enters a certificate
+    gens.insert(2, vec_add(gens[0], vec_scale(F4.zeta, gens[1])))
+    added = [solver.add(g) for g in gens]
+    assert added == [True, True, False, True, True]
     # an honest combination must be certified and re-evaluate exactly
-    combo_vec = vec_add(gens[0], vec_scale(F4.zeta, gens[2]))
+    combo_vec = vec_add(gens[0], vec_scale(F4.zeta, gens[3]))
     coords = solver.express(combo_vec)
     assert coords is not None
+    assert 2 not in coords
     rebuilt = zero_vector(F4, 5)
     for g, c in coords.items():
         rebuilt = vec_add(rebuilt, vec_scale(c, gens[g]))
     assert rebuilt == combo_vec
+    # coordinates on independent generators are unique
+    assert coords == {0: F4.one, 3: F4.zeta}
+    coords = solver.express(gens[2])
+    assert coords == {0: F4.one, 1: F4.zeta}
 
 
 def test_span_solver_rejects_outside_vectors():
@@ -253,11 +285,11 @@ def test_span_solver_dependent_add_returns_false():
 
 
 def test_sparse_echelon_kernel_agrees_with_dense():
+    # the reference is sympy's nullspace: kernel_basis runs this same engine
     rng = random.Random(SEED + 9)
     for _ in range(8):
         rows, cols = rng.randint(1, 4), rng.randint(2, 5)
         m = rand_matrix(rng, F4, rows, cols, span=2)
-        dense = kernel_basis(m, cols, F4)
         ech = SparseEchelon()
         for row in m:
             ech.add_row({j: v for j, v in enumerate(row) if v})
@@ -266,7 +298,13 @@ def test_sparse_echelon_kernel_agrees_with_dense():
             F4, cols,
             [tuple(s.get(j, F4.zero) for j in range(cols)) for s in sparse],
         )
-        want = Subspace(F4, cols, dense)
+        want = Subspace(
+            F4, cols,
+            [
+                tuple(F4.from_rational(Fraction(str(x))) for x in v)
+                for v in to_sympy_rational(m).nullspace()
+            ],
+        )
         assert got == want
 
 
