@@ -87,6 +87,7 @@ from .centroid_loop import (
 from .archetypes import (
     Archetype,
     RootSystemData,
+    algebra_type,
     associative_type,
     lie_split_type,
     registry_label_valid,

@@ -544,6 +544,29 @@ def _charpoly_sections(a: StructureAlgebra, x):
     return out
 
 
+def _split_candidates(a: StructureAlgebra, seed: int):
+    """Elements whose left ideals may have dimension sqrt(dim), cheapest
+    first: the basis vectors (E11 settles Mat_l), then the charpoly
+    sections of each basis vector, of their sum (1+i+j+k splits the
+    quaternions over Q(zeta_3)) and of three seeded random elements."""
+    basis = a.basis()
+    yield from basis
+    total = zero_vector(a.field, a.dim)
+    for x in basis:
+        yield from _charpoly_sections(a, x)
+        total = vec_add(total, x)
+    yield from _charpoly_sections(a, total)
+    rng = random.Random(seed)
+    for _ in range(3):
+        vec = list(zero_vector(a.field, a.dim))
+        for _ in range(3):
+            i = rng.randrange(a.dim)
+            c = rng.randint(-2, 2)
+            if c:
+                vec[i] = vec[i] + a.field.from_rational(c)
+        yield from _charpoly_sections(a, tuple(vec))
+
+
 def associative_type(a: StructureAlgebra, seed: int = _SEED) -> Archetype:
     """Mat_l label for a split central simple associative algebra.
 
@@ -562,20 +585,8 @@ def associative_type(a: StructureAlgebra, seed: int = _SEED) -> Archetype:
             f"dimension {a.dim} is not a perfect square; "
             "not split over the session field"
         )
-    field = a.field
-    rng = random.Random(seed)
-    candidates = [a.basis_vector(i) for i in range(a.dim)]
-    for _ in range(3):
-        vec = list(zero_vector(field, a.dim))
-        for _ in range(3):
-            i = rng.randrange(a.dim)
-            c = rng.randint(-2, 2)
-            if c:
-                vec[i] = vec[i] + field.from_rational(c)
-        x = tuple(vec)
-        candidates.extend(_charpoly_sections(a, x))
     best = None
-    for v in candidates:
+    for v in _split_candidates(a, seed):
         if vec_is_zero(v):
             continue
         ideal = _left_ideal(a, v)
@@ -603,6 +614,18 @@ def associative_type(a: StructureAlgebra, seed: int = _SEED) -> Archetype:
     )
 
 
+def algebra_type(a: StructureAlgebra, cartan_hint=None,
+                 seed: int = _SEED) -> Archetype:
+    """Archetype of an algebra, by the first registered variety it is in."""
+    if is_lie(a):
+        return lie_split_type(a, cartan_hint=cartan_hint, seed=seed)
+    if is_associative(a):
+        if a.dim == 1 and is_commutative(a):
+            return Archetype("CommAssociative", "Unit")
+        return associative_type(a, seed=seed)
+    raise HypothesisNotMet("no registered variety matches the algebra")
+
+
 # ---------------------------------------------------------------------------
 # towers
 
@@ -620,15 +643,7 @@ def tower_type(tower: LoopTower, cartan_hint=None, seed: int = _SEED) -> Archety
             "tower typing needs flags the base does not have: "
             + ", ".join(missing)
         )
-    if is_lie(base):
-        inner = lie_split_type(base, cartan_hint=cartan_hint, seed=seed)
-    elif is_associative(base):
-        if base.dim == 1 and is_commutative(base):
-            inner = Archetype("CommAssociative", "Unit")
-        else:
-            inner = associative_type(base, seed=seed)
-    else:
-        raise HypothesisNotMet("no registered variety matches the base")
+    inner = algebra_type(base, cartan_hint=cartan_hint, seed=seed)
     return Archetype(
         inner.variety, inner.label,
         provenance="by permanence",

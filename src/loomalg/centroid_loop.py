@@ -238,9 +238,10 @@ def centroid_tower(tower: LoopTower):
     return LoopTower(calg, stages), calg, maps
 
 
-def multiloop_centroid_check(tower: LoopTower, box: DegreeBox):
+def multiloop_centroid_check(tower: LoopTower, stab: StabilizerBasis):
     """Stabilizer of a multiloop over a central simple base: exactly the
-    monomials in z_p^(m_p).  Reports any window discrepancy."""
+    monomials in z_p^(m_p).  Reports any discrepancy in the window of
+    `stab`, a stabilizer_in_box result for the tower."""
     for stage in tower.stages:
         p = stage.twist.arity
         if stage.twist.m_matrix != tuple(
@@ -251,7 +252,7 @@ def multiloop_centroid_check(tower: LoopTower, box: DegreeBox):
         raise HypothesisNotMet(
             "multiloop centroid description requires a central simple base"
         )
-    stab = stabilizer_in_box(tower, box)
+    box = stab.box
     moduli = tower.moduli()
     expected = [
         d for d in box.degrees()
@@ -413,8 +414,7 @@ def kind_classify(tower: LoopTower) -> KindVerdict:
     stage2 = tower.stages[1]
     twist2 = stage2.twist
     field = tower.field
-    calg, maps = centroid_algebra(base)
-    assert calg.dim == 1
+    maps = centroid_algebra(base)[1]
     mono_sign = twist2.m_matrix[0][0]
     if mono_sign not in (1, -1):
         raise HypothesisNotMet(
@@ -430,9 +430,10 @@ def kind_classify(tower: LoopTower) -> KindVerdict:
             hits.append(j)
     first_by_monomial = bool(hits)
     first_by_sign = mono_sign == 1
-    assert first_by_monomial == first_by_sign, (
-        "kind routes disagree; twist outside the supported class"
-    )
+    if first_by_monomial != first_by_sign:
+        raise InvariantViolated(
+            "kind routes disagree; twist outside the supported class"
+        )
     rho = twist2.character_value((m1,))
     if first_by_monomial:
         e = next(
@@ -450,7 +451,8 @@ def kind_classify(tower: LoopTower) -> KindVerdict:
         t1 = LaurentElement.monomial(field, 2, 1, (m1 * n2, 0), (field.one,))
         t2 = LaurentElement.monomial(field, 2, 1, (m1 * s, p2), (field.one,))
         for gen in (t1, t2):
-            assert stabilizes(tower, maps, gen, window)
+            if not stabilizes(tower, maps, gen, window):
+                raise InvariantViolated("first-kind witness does not stabilize")
         return KindVerdict(
             "First",
             (t1, t2),
@@ -480,7 +482,8 @@ def kind_classify(tower: LoopTower) -> KindVerdict:
         {(m1, m2 // 2): one, (-m1, m2 // 2): (-rho,)},
     )
     for gen in (u1, u2, u2_inv, w):
-        assert stabilizes(tower, maps, gen, window)
+        if not stabilizes(tower, maps, gen, window):
+            raise InvariantViolated("second-kind witness does not stabilize")
     data = StrangeRingData(rho, u1, u2, u2_inv, w)
     scalar = _scalar_coefficient_algebra(field)
     lhs = laurent_multiply(scalar, w, w)

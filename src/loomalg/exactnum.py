@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import FieldMismatch, RootOrderUnavailable
+from .errors import FieldMismatch, InvariantViolated, RootOrderUnavailable
 
 Rational = Fraction
 
@@ -61,7 +61,8 @@ def _int_poly_div(num, den):
         if q:
             for i, c in enumerate(den):
                 num[i + k] -= q * c
-    assert not any(num), "nonzero remainder in cyclotomic division"
+    if any(num):
+        raise InvariantViolated("nonzero remainder in cyclotomic division")
     return out
 
 

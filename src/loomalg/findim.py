@@ -99,6 +99,7 @@ class StructureAlgebra:
                     raise DimensionMismatch("declared unit is not a two-sided unit")
         self._left_cache: dict = {}
         self._right_cache: dict = {}
+        self._facts: dict = {}  # simplicity and centroid, computed once
 
     def zero(self):
         return zero_vector(self.field, self.dim)
@@ -486,24 +487,21 @@ def centroid(a: StructureAlgebra) -> list[LinearMap]:
         for (r, c), v in sol.items():
             m[r][c] = v
         maps.append(LinearMap(a.field, m))
-    # the identity must lie in the span
-    flat = [mp.flat() for mp in maps]
-    probe = Subspace(a.field, n * n, flat)
-    if not probe.contains(LinearMap.identity(a.field, n).flat()):
-        raise InvariantViolated("centroid span lost the identity map")
     return maps
 
 
 def is_central(a: StructureAlgebra) -> bool:
-    return len(centroid(a)) == 1
+    return centroid_algebra(a)[0].dim == 1
 
 
 def centroid_algebra(a: StructureAlgebra):
     """The centroid as a unital associative StructureAlgebra.
 
     Returns (algebra, basis_maps); coordinates of the algebra are taken in
-    the canonical centroid basis.
+    the canonical centroid basis.  The result is stored on `a`.
     """
+    if "centroid" in a._facts:
+        return a._facts["centroid"]
     maps = centroid(a)
     field = a.field
     r = len(maps)
@@ -533,7 +531,8 @@ def centroid_algebra(a: StructureAlgebra):
         unit[g] = c
     labels = [f"c{i}" for i in range(r)]
     alg = StructureAlgebra(field, constants, unit=tuple(unit), labels=labels)
-    return alg, maps
+    a._facts["centroid"] = (alg, tuple(maps))  # shared, so immutable
+    return a._facts["centroid"]
 
 
 def is_pfgc_findim(a: StructureAlgebra) -> bool:
@@ -583,15 +582,24 @@ def _module_span(matrices, v, field, n) -> Subspace:
     return Subspace(field, n, [mat_apply(m, v) for m in matrices])
 
 
-def is_simple(a: StructureAlgebra, seed: int = 20260214, trials: int = 25) -> bool:
+_SIMPLE_SEED, _SIMPLE_TRIALS = 20260214, 25
+
+
+def is_simple(a: StructureAlgebra) -> bool:
     """Exact simplicity test: nonzero product and no proper ideal.
 
     Proper ideals are hunted by spinning basis vectors and kernel vectors of
     factored characteristic polynomials of seeded pseudo-random elements of
     the multiplication algebra; irreducibility is certified through a factor
     of multiplicity one by spinning one kernel vector in the module and one
-    in the transpose module.
+    in the transpose module.  The verdict is stored on `a`.
     """
+    if "simple" not in a._facts:
+        a._facts["simple"] = _is_simple(a)
+    return a._facts["simple"]
+
+
+def _is_simple(a: StructureAlgebra) -> bool:
     n = a.dim
     if n == 0:
         return False
@@ -608,9 +616,9 @@ def is_simple(a: StructureAlgebra, seed: int = 20260214, trials: int = 25) -> bo
         if d < n:
             return False
 
-    rng = random.Random(seed)
+    rng = random.Random(_SIMPLE_SEED)
     candidates = []
-    for _ in range(trials):
+    for _ in range(_SIMPLE_TRIALS):
         hi = min(4, len(basis_mats))
         terms = rng.randint(min(2, hi), hi)
         picks = rng.sample(range(len(basis_mats)), terms)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import InvalidGrading, InvariantViolated, NotAnAutomorphism
 from .exactnum import CycloNumber, root_of_unity_order
-from .findim import LinearMap, StructureAlgebra, centroid, centroid_algebra
+from .findim import LinearMap, StructureAlgebra, centroid_algebra
 from .linalg import (
     SpanSolver,
     Subspace,

@@ -16,6 +16,7 @@ from .errors import (
     DimensionMismatch,
     HypothesisNotMet,
     InvalidGrading,
+    InvariantViolated,
     NotAnAutomorphism,
 )
 from .exactnum import CycloNumber, root_of_unity_order
@@ -309,7 +310,8 @@ def _int_matrix_det(m):
             f = rows[r][col] * inv
             if f:
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    assert det.denominator == 1
+    if det.denominator != 1:
+        raise InvariantViolated("integer matrix has a fractional determinant")
     return int(det)
 
 
@@ -800,8 +802,8 @@ def _canonical_once(tower: LoopTower, y: LaurentElement):
                 key = iprime + (i_last,)
                 out[key] = out[key].add(comp.tensor_last(j - i_last))
     for idx, x in out.items():
-        if not x.is_zero():
-            assert tower_membership(tower, x), (
+        if not x.is_zero() and not tower_membership(tower, x):
+            raise InvariantViolated(
                 f"canonical piece at {idx} is not a member"
             )
     return out

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import sympy
 
+from .errors import InvariantViolated, Undecided
 from .exactnum import CycloField, CycloNumber, Rational
 
 
@@ -214,10 +215,14 @@ def _factor_squarefree(p, field: CycloField):
         total = [field.one]
         for f in out:
             total = pmul(total, f)
-        assert pmonic(total) == pmonic(p[:]), "norm factorization lost a factor"
+        if pmonic(total) != pmonic(p[:]):
+            raise InvariantViolated("norm factorization lost a factor")
         out.sort(key=lambda f: (pdeg(f), _poly_sort_key(f)))
         return out
-    raise RuntimeError("no squarefree norm shift found")
+    raise Undecided(
+        f"no squarefree norm shift found among {20 * field.degree} shifts "
+        f"of a degree {pdeg(p)} polynomial"
+    )
 
 
 def factor(p, field: CycloField | None = None):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .archetypes import Archetype, associative_type, lie_split_type, tower_type
+from .archetypes import algebra_type, tower_type
 from .centroid_loop import (
     kind_classify,
     multiloop_centroid_check,
@@ -32,13 +32,7 @@ from .dsl import (
 )
 from .errors import HypothesisNotMet, LoomError
 from .exactnum import CycloField, primitive_root
-from .findim import (
-    is_associative,
-    is_commutative,
-    is_lie,
-    matrix_algebra,
-    sl_algebra,
-)
+from .findim import matrix_algebra, sl_algebra
 from .fixtures import (
     conjugation_auto,
     matrix_inverse,
@@ -292,7 +286,7 @@ def _run_centroid(ctx: _RunContext, cmd: Command) -> dict:
         "ok": True,
     }
     try:
-        lattice = multiloop_centroid_check(tower, box)
+        lattice = multiloop_centroid_check(tower, stab)
     except HypothesisNotMet:
         return out
     generators = []
@@ -340,23 +334,13 @@ def _run_kind(ctx: _RunContext, cmd: Command) -> dict:
     return out
 
 
-def _algebra_archetype(ctx: _RunContext, algebra) -> Archetype:
-    if is_lie(algebra):
-        return lie_split_type(algebra, seed=ctx.seed)
-    if is_associative(algebra):
-        if algebra.dim == 1 and is_commutative(algebra):
-            return Archetype("CommAssociative", "Unit")
-        return associative_type(algebra, seed=ctx.seed)
-    raise HypothesisNotMet("no registered variety matches the algebra")
-
-
 def _run_type(ctx: _RunContext, cmd: Command) -> dict:
     decl = ctx.document.decls[cmd.target]
     target = ctx.obj(cmd.target)
     if isinstance(decl, TowerDecl):
         arch = tower_type(target, seed=ctx.seed)
     else:
-        arch = _algebra_archetype(ctx, target)
+        arch = algebra_type(target, seed=ctx.seed)
     out = {"target": cmd.target, "ok": True}
     out.update(arch.as_report())
     return out

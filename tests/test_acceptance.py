@@ -110,7 +110,7 @@ def test_criterion_1(ell):
     assert window_span(stabilizer.elements, box, field, 1) == window_span(
         lattice, box, field, 1
     )
-    lattice_check = multiloop_centroid_check(tower, box)
+    lattice_check = multiloop_centroid_check(tower, stabilizer)
     assert lattice_check["ok"] is True
     assert lattice_check["expected_count"] == 25
     assert lattice_check["generators"] == [f"z1^{ell}", f"z2^{ell}"]

@@ -9,6 +9,7 @@ import pytest
 from loomalg.archetypes import (
     Archetype,
     RootSystemData,
+    algebra_type,
     associative_type,
     lie_split_type,
     registry_label_valid,
@@ -17,6 +18,7 @@ from loomalg.archetypes import (
 from loomalg.errors import HypothesisNotMet, NotLie, NotSimple, NotSplit
 from loomalg.exactnum import CycloField
 from loomalg.findim import (
+    StructureAlgebra,
     change_basis,
     direct_sum,
     matrix_algebra,
@@ -159,6 +161,33 @@ def test_quaternions_are_refused_as_not_split():
     with pytest.raises(NotSplit) as err:
         associative_type(quaternion_algebra())
     assert "central simple, not split" in str(err.value)
+
+
+@pytest.mark.parametrize("order", [3, 6])
+def test_quaternions_split_over_fields_with_sqrt_minus_three(order):
+    # (i+j+k)^2 = -3, so 1+i+j+k has a split characteristic polynomial
+    q = quaternion_algebra(CycloField(order))
+    for seed in (0, 1, 2, 3, 20260214):
+        arch = associative_type(q, seed=seed)
+        assert (arch.variety, arch.label) == ("Associative", "Mat2")
+
+
+def test_algebra_type_dispatches_on_the_variety():
+    field = CycloField(1)
+    got = [
+        algebra_type(a)
+        for a in (sl_algebra(2, field), matrix_algebra(2, field),
+                  matrix_algebra(1, field))
+    ]
+    assert [(t.variety, t.label) for t in got] == [
+        ("Lie", "A1"), ("Associative", "Mat2"), ("CommAssociative", "Unit")
+    ]
+    # e0 e1 = e0 and every other product zero: neither Lie nor associative
+    zero = (field.zero, field.zero)
+    e0 = (field.one, field.zero)
+    odd = StructureAlgebra(field, [[zero, e0], [zero, zero]])
+    with pytest.raises(HypothesisNotMet):
+        algebra_type(odd)
 
 
 def test_associative_classifier_checks_hypotheses():

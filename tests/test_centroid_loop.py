@@ -58,7 +58,7 @@ def test_quantum_torus_stabilizer_is_the_sublattice():
     qt = quantum_torus_tower(2)
     tower, field = qt["tower"], qt["field"]
     box = DegreeBox((4, 4))
-    check = multiloop_centroid_check(tower, box)
+    check = multiloop_centroid_check(tower, stabilizer_in_box(tower, box))
     assert check["ok"] is True
     assert check["stabilizer_dim"] == 25
     assert check["expected_count"] == 25
@@ -70,8 +70,9 @@ def test_quantum_torus_stabilizer_is_the_sublattice():
 
 def test_multiloop_centroid_check_rejects_twisted_towers():
     herm = hermitian_tower(1)
+    stab = stabilizer_in_box(herm["tower"], DegreeBox((2, 2)))
     with pytest.raises(HypothesisNotMet):
-        multiloop_centroid_check(herm["tower"], DegreeBox((2, 2)))
+        multiloop_centroid_check(herm["tower"], stab)
 
 
 def test_hermitian_stabilizer_matches_orbit_oracle():

@@ -9,9 +9,10 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from loomalg.errors import FieldMismatch, RootOrderUnavailable
+from loomalg.errors import FieldMismatch, LoomError, RootOrderUnavailable
 from loomalg.exactnum import (
     CycloField,
+    _int_poly_div,
     cyclo_str,
     cyclotomic_polynomial,
     euler_phi,
@@ -43,6 +44,14 @@ def test_interning_and_basic_constants():
     assert F12.one + F12.zero == F12.one
     assert F12.zeta**12 == F12.one
     assert F12.zeta**6 == -F12.one
+
+
+def test_int_poly_div_with_remainder_is_a_coded_error():
+    assert _int_poly_div([-1, 0, 1], [-1, 1]) == [1, 1]
+    # x^2 + 1 = (x + 1)(x - 1) + 2
+    with pytest.raises(LoomError) as info:
+        _int_poly_div([1, 0, 1], [1, 1])
+    assert info.value.code == "invariant-violated"
 
 
 @pytest.mark.parametrize("n", list(range(1, 31)))

@@ -5,6 +5,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+import sympy
+
+from loomalg import polyfactor
+from loomalg.errors import LoomError
 from loomalg.exactnum import CycloField, primitive_root
 from loomalg.polyfactor import (
     factor,
@@ -156,3 +161,16 @@ def test_roots_in_field_finds_order_three_roots():
     p = [-F12.one, F12.zero, F12.zero, F12.one]
     got = {r for r, _ in roots_in_field(p)}
     assert got == {F12.one, z3, z3 * z3}
+
+
+def test_exhausted_norm_shift_search_is_undecided(monkeypatch):
+    # every shifted norm has a repeated root, so no shift can be used
+    x = polyfactor._x
+    monkeypatch.setattr(
+        polyfactor, "_norm_to_rational",
+        lambda g, field: sympy.Poly((x - 1) ** 2, x, domain="QQ"),
+    )
+    p = [F4.one, F4.zero, F4.one]  # x^2 + 1, squarefree
+    with pytest.raises(LoomError) as info:
+        factor(p, F4)
+    assert info.value.code == "undecided"

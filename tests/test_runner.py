@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import pathlib
+from collections import Counter
 
 import pytest
 
+from loomalg import centroid_loop, findim, runner
 from loomalg.dsl import parse
 from loomalg.runner import (
     DEFAULT_SEED,
@@ -266,3 +268,52 @@ def test_canonical_form_unknown_label():
     got = entry(report, "canonical-form")
     assert got["ok"] is False
     assert got["error"]["code"] == "unknown-basis-label"
+
+
+# -- each structural fact once ----------------------------------------------
+
+
+def test_structural_facts_are_computed_once_per_document(monkeypatch):
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name, id(args[0])] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return counted
+
+    # one counter for the stabilizer solve in both namespaces that bind it
+    solve = count(centroid_loop, "stabilizer_in_box")
+    monkeypatch.setattr(runner, "stabilizer_in_box", solve)
+    count(findim, "mult_algebra_basis")
+    count(findim, "centroid")
+    built = []
+
+    def build_base(*args):
+        built.append(findim.matrix_algebra(*args))
+        return built[-1]
+
+    monkeypatch.setattr(runner, "matrix_algebra", build_base)
+    report = run_source(
+        "field zeta 2;\n"
+        "algebra A = mat(2);\n"
+        "auto sd = conj(A, [[1, 0], [0, -1]]);\n"
+        "auto sp = conj(A, [[0, 1], [1, 0]]);\n"
+        "tower T = multiloop(A, [sd, sp]);\n"
+        "build tower T;\n"
+        "centroid T box 2, 2;\n"
+        "kind T;\n"
+        "type T;\n"
+    )
+    assert report["ok"] is True
+    assert entry(report, "centroid")["lattice"]["ok"] is True
+    (base,) = built
+    solves = sum(n for (name, _), n in calls.items()
+                 if name == "stabilizer_in_box")
+    assert solves == 1
+    assert calls["mult_algebra_basis", id(base)] == 1
+    assert calls["centroid", id(base)] == 1
