@@ -143,9 +143,13 @@ def stabilizer_in_box(tower: LoopTower, box: DegreeBox) -> StabilizerBasis:
     The membership defect of u . x is linear in u, so the stabilizer window
     is the kernel of one sparse system per outermost-variable exponent
     (window members are homogeneous in that variable, so exponents never
-    couple).  The same box serves as the action-verification window."""
+    couple).  The same box serves as the action-verification window.
+    Each box is solved once per tower; later calls return the stored basis."""
     if box.arity != tower.n:
         raise LoomError("box arity does not match the tower")
+    stored = tower._stabilizer_cache.get(box.radius)
+    if stored is not None:
+        return stored
     if not is_pfgc_findim(tower.base):
         raise HypothesisNotMet(
             "stabilizer realization requires a pfgc base"
@@ -192,7 +196,9 @@ def stabilizer_in_box(tower: LoopTower, box: DegreeBox) -> StabilizerBasis:
             elements.append(
                 LaurentElement(field, tower.n, r, support)
             )
-    return StabilizerBasis(box, elements, box, dims_by_degree, maps)
+    stab = StabilizerBasis(box, elements, box, dims_by_degree, maps)
+    tower._stabilizer_cache[box.radius] = stab
+    return stab
 
 
 def window_span(elements, box: DegreeBox, field, coeff_dim: int) -> Subspace:

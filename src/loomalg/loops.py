@@ -462,7 +462,8 @@ class LoopTower:
         self._window_cache = {}
         self._eigen_cache = {}
         self._proj_memo = {}
-        self._canon_memo = {}
+        # stabilizer_in_box results by box radius, kept like the windows
+        self._stabilizer_cache = {}
         self.validation_boxes = []
         for p in range(1, self.n + 1):
             self._validate_stage(p)
@@ -534,7 +535,7 @@ class LoopTower:
             got._window_cache = {}
             got._eigen_cache = {}
             got._proj_memo = {}
-            got._canon_memo = {}
+            got._stabilizer_cache = {}
             got.validation_boxes = self.validation_boxes[:p]
             self._prefix_cache[p] = got
         return got
@@ -736,76 +737,23 @@ def canonical_form(tower: LoopTower, y: LaurentElement):
     """Unique decomposition y = sum over residue classes of z^i . x_i.
 
     Returns a dict keyed by every index class of the tower; each value is a
-    verified member.  Works outermost variable first: slice it, recurse on
-    the prefix, then split each prefix piece into twist eigencomponents and
-    pull the outer exponent back into its residue class."""
+    verified member.  Piece i is the member projection of z^-i . y: the
+    projection fixes members and sends z^a . x to zero for every member x
+    and every offset a != 0 with |a_p| < m_p (the outer slices land on the
+    wrong twist eigenvalue, or the prefix projection kills them), and two
+    index classes differ by exactly such an offset."""
     if y.arity != tower.n:
         raise DimensionMismatch(
             f"element arity {y.arity}, tower has {tower.n} stages"
         )
-    out = {
-        idx: LaurentElement.zero(tower.field, tower.n, tower.base.dim)
-        for idx in tower.index_classes()
-    }
-    if tower.n == 0:
-        out[()] = y
-        return out
-    field = tower.field
-    d = tower.base.dim
-    memo = tower._canon_memo
-    for g, vec in y.support.items():
-        for i, c in enumerate(vec):
-            if not c:
-                continue
-            fam = memo.get((g, i))
-            if fam is None:
-                mono = LaurentElement.monomial(
-                    field, tower.n, d, g,
-                    tuple(field.one if q == i else field.zero
-                          for q in range(d)),
-                )
-                fam = _canonical_once(tower, mono)
-                memo[(g, i)] = fam
-            for idx, x in fam.items():
-                if not x.is_zero():
-                    out[idx] = out[idx].add(x.scale(c))
-    return out
-
-
-def _canonical_once(tower: LoopTower, y: LaurentElement):
-    out = {
-        idx: LaurentElement.zero(tower.field, tower.n, tower.base.dim)
-        for idx in tower.index_classes()
-    }
-    stage = tower.stages[-1]
-    twist, m, zeta = stage.twist, stage.modulus, stage.zeta
-    prev = tower.prefix(tower.n - 1)
-    inv_m = tower.field.from_rational(Fraction(1, m))
-    for j in y.last_degrees():
-        prefix_family = canonical_form(prev, y.slice_last(j))
-        for iprime, xpp in prefix_family.items():
-            if xpp.is_zero():
-                continue
-            orbit = [xpp]
-            for _ in range(m - 1):
-                orbit.append(twist.apply(orbit[-1]))
-            for ell in range(m):
-                comp = LaurentElement.zero(
-                    tower.field, tower.n - 1, tower.base.dim
-                )
-                for t in range(m):
-                    comp = comp.add(orbit[t].scale(zeta ** (-ell * t)))
-                comp = comp.scale(inv_m)
-                if comp.is_zero():
-                    continue
-                i_last = (j - ell) % m
-                key = iprime + (i_last,)
-                out[key] = out[key].add(comp.tensor_last(j - i_last))
-    for idx, x in out.items():
+    out = {}
+    for idx in tower.index_classes():
+        x = member_projection(tower, y.shift(tuple(-i for i in idx)))
         if not x.is_zero() and not tower_membership(tower, x):
             raise InvariantViolated(
                 f"canonical piece at {idx} is not a member"
             )
+        out[idx] = x
     return out
 
 

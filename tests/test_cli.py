@@ -15,9 +15,9 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "fixtures"
 
 
-def loomalg(*args, cwd=None):
+def loomalg(*args, cwd=None, flags=()):
     return subprocess.run(
-        [sys.executable, "-m", "loomalg.cli", *args],
+        [sys.executable, *flags, "-m", "loomalg.cli", *args],
         capture_output=True, text=True, cwd=cwd, timeout=560,
     )
 
@@ -197,3 +197,31 @@ def test_same_source_and_seed_byte_identical(small_file):
     a = loomalg("run", str(small_file), "--json", "-")
     b = loomalg("run", str(small_file), "--json", "-")
     assert a.stdout == b.stdout
+
+
+# six of the seven command kinds (all but `check grading`) on a small tower
+OPTIMIZED_DOC = (FIXTURES / "synthetic_b4.loom").read_text(
+    encoding="utf-8"
+) + (
+    "centroid T box 1, 1;\n"
+    "untwist T box 1, 1;\n"
+    "canonical-form T of E11 * z(1, 1) + 2 * E11 * z(-1, 3);\n"
+)
+
+
+@pytest.mark.parametrize("source", ["inline", "diagnostics"])
+def test_reports_are_identical_under_python_O(source, tmp_path):
+    # invariants raise coded errors instead of asserting, so -O changes
+    # neither the report, nor the diagnostics, nor the exit code
+    if source == "inline":
+        path = tmp_path / "six_kinds.loom"
+        path.write_text(OPTIMIZED_DOC, encoding="utf-8")
+    else:
+        path = FIXTURES / "diagnostics" / "unused_declaration.loom"
+    plain = loomalg("run", str(path), "--json", "-")
+    optimized = loomalg("run", str(path), "--json", "-", flags=("-O",))
+    assert plain.returncode == 0, plain.stderr
+    assert json.loads(plain.stdout)["ok"] is True
+    assert optimized.stdout == plain.stdout
+    assert optimized.stderr == plain.stderr
+    assert optimized.returncode == plain.returncode

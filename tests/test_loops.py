@@ -7,7 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from loomalg.errors import DimensionMismatch, InvalidGrading
+from loomalg import loops
+from loomalg.errors import (
+    DimensionMismatch,
+    InvalidGrading,
+    InvariantViolated,
+)
 from loomalg.exactnum import CycloField, primitive_root
 from loomalg.findim import matrix_algebra, sl_algebra
 from loomalg.fixtures import (
@@ -300,10 +305,21 @@ def test_quantum_relation_of_the_torus():
 # -- canonical form ---------------------------------------------------------
 
 
-def test_canonical_form_reconstructs_members_and_non_members():
+CANONICAL_TOWERS = {
+    "quantum-torus-2": lambda: quantum_torus_tower(2),
+    # inversion degree matrix on the second stage
+    "hermitian-1": lambda: hermitian_tower(1),
+    # inversion degree matrix and a nontrivial character
+    "synthetic-b4": lambda: next(
+        e for e in synthetic_kind_towers() if e["name"] == "synthetic-b4"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CANONICAL_TOWERS))
+def test_canonical_form_reconstructs_members_and_non_members(name):
     rng = random.Random(SEED + 4)
-    qt = quantum_torus_tower(2)
-    tower = qt["tower"]
+    tower = CANONICAL_TOWERS[name]()["tower"]
     box = DegreeBox((2, 2))
     for _ in range(15):
         y = rand_window_element(rng, tower.field, 2, tower.base.dim, box)
@@ -345,6 +361,21 @@ def test_canonical_form_memoization_is_transparent():
     first = canonical_form(tower, y)
     second = canonical_form(tower, y)
     assert all(first[idx] == second[idx] for idx in first)
+
+
+def test_canonical_form_raises_on_a_non_member_piece(monkeypatch):
+    # membership is checked on an independent route; a piece it rejects
+    # means the tower's twists were validated wrongly
+    tower = quantum_torus_tower(2)["tower"]
+    field = tower.field
+    y = LaurentElement.monomial(
+        field, 2, 4, (1, 1),
+        tuple(field.one for _ in range(4)),
+    )
+    monkeypatch.setattr(loops, "tower_membership", lambda tower, x: False)
+    with pytest.raises(InvariantViolated) as err:
+        canonical_form(tower, y)
+    assert err.value.code == "invariant-violated"
 
 
 # -- stage periods ----------------------------------------------------------

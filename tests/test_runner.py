@@ -317,3 +317,31 @@ def test_structural_facts_are_computed_once_per_document(monkeypatch):
     assert solves == 1
     assert calls["mult_algebra_basis", id(base)] == 1
     assert calls["centroid", id(base)] == 1
+
+
+def test_untwist_reuses_the_box_its_centroid_solved(monkeypatch):
+    # count the work inside the solve, not the calls to stabilizer_in_box
+    actions = Counter()
+    original = centroid_loop.centroid_action
+
+    def counted(*args):
+        actions["calls"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(centroid_loop, "centroid_action", counted)
+    head = (
+        "field zeta 2;\n"
+        "algebra A = mat(2);\n"
+        "auto sd = conj(A, [[1, 0], [0, -1]]);\n"
+        "auto sp = conj(A, [[0, 1], [1, 0]]);\n"
+        "tower T = multiloop(A, [sd, sp]);\n"
+        "centroid T box 1, 1;\n"
+    )
+    assert run_source(head)["ok"] is True
+    one_solve = actions["calls"]
+    assert one_solve > 0
+    actions.clear()
+    report = run_source(head + "untwist T box 1, 1;\n")
+    assert report["ok"] is True
+    assert entry(report, "untwist")["ok"] is True
+    assert actions["calls"] == one_solve
