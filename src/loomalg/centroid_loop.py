@@ -23,7 +23,16 @@ from .findim import (
     matrix_algebra,
 )
 from .grading import FiniteOrderAuto, ModGrading, auto_from_grading
-from .linalg import SparseEchelon, SpanSolver, Subspace, mat_mul, vec_is_zero
+from .linalg import (
+    SparseEchelon,
+    SpanSolver,
+    Subspace,
+    mat_apply,
+    mat_mul,
+    vec_add,
+    vec_is_zero,
+    vec_scale,
+)
 from .loops import (
     DegreeBox,
     LaurentElement,
@@ -100,27 +109,42 @@ class KindVerdict:
 def centroid_action(maps, u: LaurentElement, x: LaurentElement) -> LaurentElement:
     """Act by a centroid-coefficient Laurent element on a base-coefficient one.
 
-    (chi (x) z^d) . (a (x) z^e) = chi(a) (x) z^(d+e), extended bilinearly."""
+    (chi (x) z^d) . (a (x) z^e) = chi(a) (x) z^(d+e), extended bilinearly.
+    Maps whose `scalar` is set (c times the identity, as `centroid_algebra`
+    decides for a central base) act without a matrix: per degree of u their
+    coefficients fold into one scalar that scales x; only the other maps go
+    through mat_apply."""
     if u.arity != x.arity:
         raise LoomError("action arity mismatch", code="arity-mismatch")
+    one = x.field.one
     support = {}
     for du, cu in u.support.items():
+        scalar = x.field.zero
+        matrices = []
+        for s, coeff in enumerate(cu):
+            if not coeff:
+                continue
+            c = maps[s].scalar
+            if c is None:
+                matrices.append((coeff, maps[s].matrix))
+            else:
+                scalar = scalar + coeff * c
         for dx, vx in x.support.items():
-            img = None
-            for s, coeff in enumerate(cu):
-                if not coeff:
-                    continue
-                term = tuple(coeff * w for w in maps[s].apply(vx))
-                img = term if img is None else tuple(
-                    a + b for a, b in zip(img, term)
-                )
-            if img is None or vec_is_zero(img):
+            if not scalar:
+                img = None
+            elif scalar == one:
+                img = vx
+            else:
+                img = vec_scale(scalar, vx)
+            for coeff, m in matrices:
+                term = vec_scale(coeff, mat_apply(m, vx))
+                img = term if img is None else vec_add(img, term)
+            # a nonzero scalar alone keeps the nonzero vector vx nonzero
+            if img is None or (matrices and vec_is_zero(img)):
                 continue
             deg = tuple(a + b for a, b in zip(du, dx))
             cur = support.get(deg)
-            support[deg] = img if cur is None else tuple(
-                a + b for a, b in zip(cur, img)
-            )
+            support[deg] = img if cur is None else vec_add(cur, img)
     return LaurentElement(x.field, x.arity, x.base_dim, support)
 
 
@@ -144,7 +168,10 @@ def stabilizer_in_box(tower: LoopTower, box: DegreeBox) -> StabilizerBasis:
     is the kernel of one sparse system per outermost-variable exponent
     (window members are homogeneous in that variable, so exponents never
     couple).  The same box serves as the action-verification window.
-    Each box is solved once per tower; later calls return the stored basis."""
+    Scalar centroid maps act without a matrix (see centroid_action): on a
+    central base the one basis map is the identity, so each unknown acts on
+    a window member by a degree shift alone.  Each box is solved once per tower; later calls
+    return the stored basis."""
     if box.arity != tower.n:
         raise LoomError("box arity does not match the tower")
     stored = tower._stabilizer_cache.get(box.radius)
@@ -346,10 +373,11 @@ def untwist_check(tower: LoopTower, box: DegreeBox):
     """Windowed verification of the untwisting theorem.
 
     Three parts: the coefficient ring is free over the centroid tower with
-    the monomial sections as a basis (exact window decomposition with unique
-    coefficients); every base-window vector has an exact canonical form over
-    the main tower that reconstructs bit-identically; and the stabilizer
-    window coincides with the centroid-tower window as a subspace."""
+    the monomial sections as a basis (exact window decomposition; the
+    coefficients are unique by canonical_form's construction); every
+    base-window vector has an exact canonical form over the main tower that
+    reconstructs bit-identically; and the stabilizer window coincides with
+    the centroid-tower window as a subspace."""
     if not is_pfgc_findim(tower.base):
         raise HypothesisNotMet("untwisting requires a pfgc base")
     ctower, calg, maps = centroid_tower(tower)
@@ -371,13 +399,6 @@ def untwist_check(tower: LoopTower, box: DegreeBox):
             fam = canonical_form(tower, y)
             if canonical_reconstruct(tower, fam) != y:
                 return {"ok": False, "stage": "base-window", "at": d}
-            redo = canonical_form(tower, canonical_reconstruct(tower, fam))
-            if any(redo[k] != fam[k] for k in fam):
-                return {
-                    "ok": False,
-                    "stage": "base-window-uniqueness",
-                    "at": d,
-                }
             checked += 1
     stab = stabilizer_in_box(tower, box)
     span_match = window_span(

@@ -256,10 +256,10 @@ class CycloNumber:
         return self.field.from_coeffs(inv)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
@@ -277,7 +277,7 @@ class CycloNumber:
         return hash((self.field.order, self.coeffs))
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.coeffs)
 
     def __repr__(self):
         return f"<{self} in Q(zeta_{self.field.order})>"

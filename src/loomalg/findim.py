@@ -31,13 +31,17 @@ from . import polyfactor
 
 
 class LinearMap:
-    """A linear endomorphism of a coordinate space; column j is the image of e_j."""
+    """A linear endomorphism of a coordinate space; column j is the image of e_j.
 
-    __slots__ = ("field", "matrix")
+    `scalar` is c when the map is known to be c times the identity (set by
+    `centroid_algebra` on the centroid basis it stores), else None."""
+
+    __slots__ = ("field", "matrix", "scalar")
 
     def __init__(self, field: CycloField, matrix):
         self.field = field
         self.matrix = tuple(tuple(row) for row in matrix)
+        self.scalar = None
 
     @classmethod
     def identity(cls, field: CycloField, n: int):
@@ -531,8 +535,22 @@ def centroid_algebra(a: StructureAlgebra):
         unit[g] = c
     labels = [f"c{i}" for i in range(r)]
     alg = StructureAlgebra(field, constants, unit=tuple(unit), labels=labels)
+    for mp in maps:
+        mp.scalar = _scalar_multiple(mp.matrix)
     a._facts["centroid"] = (alg, tuple(maps))  # shared, so immutable
     return a._facts["centroid"]
+
+
+def _scalar_multiple(matrix):
+    """c when the square matrix is c times the identity, else None."""
+    if not matrix:
+        return None
+    c = matrix[0][0]
+    for i, row in enumerate(matrix):
+        for j, v in enumerate(row):
+            if (v != c) if i == j else v:
+                return None
+    return c
 
 
 def is_pfgc_findim(a: StructureAlgebra) -> bool:

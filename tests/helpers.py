@@ -3,12 +3,29 @@
 from __future__ import annotations
 
 from loomalg.centroid_loop import stabilizer_in_box, window_span
-from loomalg.linalg import Subspace
+from loomalg.linalg import Subspace, mat_apply
 from loomalg.loops import (
     DegreeBox,
+    LaurentElement,
     box_coordinates,
     element_from_box_coordinates,
 )
+
+
+def reference_centroid_action(maps, u, x):
+    """Oracle for centroid_action: u . x = sum over the terms c_s (x) z^d of
+    u of c_s . mat_apply(maps[s].matrix, x) shifted by d, with every map
+    applied as a matrix, whatever its `scalar`."""
+    acc = LaurentElement.zero(x.field, x.arity, x.base_dim)
+    for du, cu in u.support.items():
+        for s, c in enumerate(cu):
+            image = {
+                dx: mat_apply(maps[s].matrix, vx)
+                for dx, vx in x.support.items()
+            }
+            term = LaurentElement(x.field, x.arity, x.base_dim, image)
+            acc = acc.add(term.shift(du).scale(c))
+    return acc
 
 
 def restricted_stabilizer_span(tower, big_radius, small_box: DegreeBox,

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import restricted_stabilizer_span
+from helpers import reference_centroid_action, restricted_stabilizer_span
+from loomalg import centroid_loop, findim
 from loomalg.centroid_loop import (
     FIRST_KIND_ISO_ADVISORY,
     StrangeRingData,
@@ -24,7 +26,7 @@ from loomalg.centroid_loop import (
 )
 from loomalg.errors import HypothesisNotMet, LoomError
 from loomalg.exactnum import CycloField
-from loomalg.findim import centroid_algebra, zero_algebra
+from loomalg.findim import LinearMap, centroid_algebra, zero_algebra
 from loomalg.fixtures import (
     hermitian_orbit_count,
     hermitian_tower,
@@ -32,7 +34,7 @@ from loomalg.fixtures import (
     swap_sum_fixture,
     synthetic_kind_towers,
 )
-from loomalg.grading import FiniteOrderAuto
+from loomalg.grading import FiniteOrderAuto, auto_from_grading
 from loomalg.linalg import SpanSolver
 from loomalg.loops import (
     DegreeBox,
@@ -151,6 +153,124 @@ def test_stabilizer_action_is_faithful_on_window():
             assert solver.add(tuple(action_flat)), (
                 "stabilizer element acted dependently"
             )
+
+
+# -- centroid action: scalar maps without matrices ---------------------------
+
+
+def random_laurent(rng, field, arity, dim, terms):
+    support = {}
+    for _ in range(terms):
+        deg = tuple(rng.randint(-2, 2) for _ in range(arity))
+        support[deg] = tuple(
+            field.from_coeffs(
+                [rng.randint(-3, 3) for _ in range(field.degree)]
+            ) if rng.random() < 0.7 else field.zero
+            for _ in range(dim)
+        )
+    return LaurentElement(field, arity, dim, support)
+
+
+def scalar_map(field, dim, c):
+    mp = LinearMap(field, [[c if i == j else field.zero for j in range(dim)]
+                           for i in range(dim)])
+    mp.scalar = c
+    return mp
+
+
+def central_mat2_maps():
+    qt = quantum_torus_tower(2)
+    field, maps = qt["field"], centroid_algebra(qt["base"])[1]
+    assert [mp.scalar for mp in maps] == [field.one]
+    return field, qt["base"].dim, maps
+
+
+def swap_sum_maps():
+    fix = swap_sum_fixture()
+    maps = centroid_algebra(fix["algebra"])[1]
+    assert [mp.scalar for mp in maps] == [None, None]
+    return fix["field"], fix["algebra"].dim, maps
+
+
+def mixed_scalar_maps():
+    """2.Id and -Id marked scalar around a projection of sl2 + sl2, so one
+    coefficient vector mixes both paths and scalar parts can cancel."""
+    field, dim, (projection, _) = swap_sum_maps()
+    maps = (
+        scalar_map(field, dim, field.one * 2),
+        projection,
+        scalar_map(field, dim, -field.one),
+    )
+    return field, dim, maps
+
+
+@pytest.mark.parametrize(
+    "bases", [central_mat2_maps, swap_sum_maps, mixed_scalar_maps],
+    ids=["central-mat2", "swap-sum", "mixed"],
+)
+def test_centroid_action_matches_matrix_oracle(bases):
+    field, dim, maps = bases()
+    rng = random.Random(20260214)
+    for _ in range(25):
+        u = random_laurent(rng, field, 2, len(maps), rng.randint(1, 3))
+        x = random_laurent(rng, field, 2, dim, rng.randint(1, 4))
+        assert centroid_action(maps, u, x) == (
+            reference_centroid_action(maps, u, x)
+        )
+    x = random_laurent(rng, field, 2, dim, 3)
+    if bases is mixed_scalar_maps:
+        # 1 * (2 Id) + 2 * (-Id) folds to zero: only the projection acts
+        u = LaurentElement.monomial(
+            field, 2, 3, (1, 0), (field.one, field.one, field.one * 2)
+        )
+        assert centroid_action(maps, u, x) == centroid_action(
+            maps, LaurentElement.monomial(
+                field, 2, 3, (1, 0), (field.zero, field.one, field.zero)
+            ), x,
+        )
+    zero_u = LaurentElement.zero(field, 2, len(maps))
+    assert centroid_action(maps, zero_u, x).is_zero()
+
+
+def count_centroid_matrix_applications(monkeypatch, maps):
+    """Counts mat_apply calls on a centroid map matrix, by either name the
+    centroid action may reach it through."""
+    matrices = [mp.matrix for mp in maps]
+    calls = []
+    original = findim.mat_apply
+
+    def counted(m, v):
+        if any(m is mat for mat in matrices):
+            calls.append(1)
+        return original(m, v)
+
+    monkeypatch.setattr(findim, "mat_apply", counted)
+    monkeypatch.setattr(centroid_loop, "mat_apply", counted)
+    return calls
+
+
+def test_stabilizer_on_central_base_applies_no_centroid_matrix(monkeypatch):
+    qt = quantum_torus_tower(2)
+    tower = qt["tower"]
+    calls = count_centroid_matrix_applications(
+        monkeypatch, centroid_algebra(tower.base)[1]
+    )
+    stab = stabilizer_in_box(tower, DegreeBox((2, 2)))
+    assert stab.dim == 9  # z1^(2a) z2^(2b) with |2a|, |2b| <= 2
+    assert calls == []
+
+
+def test_stabilizer_on_swap_base_still_applies_matrices(monkeypatch):
+    fix = swap_sum_fixture()
+    alg, grading, field = fix["algebra"], fix["grading"], fix["field"]
+    twist = ToralMonomialAuto(auto_from_grading(grading), (), (), field.one)
+    tower = LoopTower(alg, [TowerStage(twist, grading.modulus, grading.zeta)])
+    calls = count_centroid_matrix_applications(
+        monkeypatch, centroid_algebra(alg)[1]
+    )
+    stab = stabilizer_in_box(tower, DegreeBox((2,)))
+    assert stab.dim > 0
+    assert calls
 
 
 def test_box_growth_stability_quantum_torus():

@@ -117,6 +117,36 @@ def test_integer_powers(a, k):
     assert a**k == expect
 
 
+_sparse_rationals = st.one_of(st.just(Fraction(0)), _rationals)
+
+
+@st.composite
+def small_field_samples(draw):
+    field = CycloField(draw(st.integers(min_value=1, max_value=12)))
+    coeffs = draw(st.lists(_sparse_rationals, min_size=field.degree,
+                           max_size=field.degree))
+    k = draw(st.integers(min_value=1, max_value=9))
+    return field, field.from_coeffs(coeffs), k
+
+
+@given(small_field_samples())
+def test_zero_tests_match_componentwise_definitions(sample):
+    field, a, k = sample
+    zero_by_construction = [
+        a - a, a * 0, field.from_rational(Fraction(0, k)), field.zero,
+    ]
+    values = zero_by_construction + [
+        a, a * field.zeta, a + field.one, field.from_rational(Fraction(k, 3)),
+    ]
+    for v in values:
+        zero = all(c == 0 for c in v.coeffs)
+        assert v.is_zero() is zero
+        assert bool(v) is (not zero)
+        assert v.is_rational() is all(c == 0 for c in v.coeffs[1:])
+    for v in zero_by_construction:
+        assert v.is_zero() and not v and v.is_rational()
+
+
 def test_field_mismatch_rejected():
     with pytest.raises(FieldMismatch):
         F4.one + F12.one
