@@ -27,6 +27,7 @@ from .linalg import (
     SparseEchelon,
     SpanSolver,
     Subspace,
+    column_kernel,
     mat_apply,
     mat_mul,
     vec_add,
@@ -194,25 +195,20 @@ def stabilizer_in_box(tower: LoopTower, box: DegreeBox) -> StabilizerBasis:
     for d_last in range(-last_r, last_r + 1):
         block_degs = [d for d in degrees if d[-1] == d_last]
         keys = [(d, s) for d in block_degs for s in range(r)]
-        rows_map = {}
+        columns = []
         for d, s in keys:
             u = LaurentElement.monomial(
                 field, tower.n, r, d,
                 tuple(field.one if q == s else field.zero
                       for q in range(r)),
             )
+            column = {}
             for t, x in enumerate(window):
                 defect = member_defect(tower, centroid_action(maps, u, x))
-                for deg, vec in defect.support.items():
-                    for coord, val in enumerate(vec):
-                        if val:
-                            rows_map.setdefault((t, deg, coord), {})[
-                                (d, s)
-                            ] = val
-        ech = SparseEchelon()
-        for rk in sorted(rows_map):
-            ech.add_row(rows_map[rk])
-        sols = ech.kernel(keys, field)
+                for (deg, coord), val in defect.sparse_items().items():
+                    column[(t, deg, coord)] = val
+            columns.append(column)
+        sols = column_kernel(keys, columns, field)
         dims_by_degree[d_last] = len(sols)
         for sol in sols:
             support = {}

@@ -14,6 +14,7 @@ from .findim import LinearMap, StructureAlgebra, centroid_algebra
 from .linalg import (
     SpanSolver,
     Subspace,
+    column_kernel,
     identity_matrix,
     kernel_basis,
     mat_apply,
@@ -289,19 +290,18 @@ def centroid_grading(grading: ModGrading) -> CentroidGrading:
     coord_subspaces = []
     for lam in range(m):
         # chi in the span of maps with chi(A_j) inside A_(lam+j) for all j
-        rows = []
+        columns = [{} for _ in maps]
         for j, comp in enumerate(grading.components):
             target = grading.component(lam + j)
-            for b in comp.basis:
-                images = [mp.apply(b) for mp in maps]
-                residuals = [target.residual(img) for img in images]
-                for coord in range(algebra.dim):
-                    row = tuple(residuals[s][coord] for s in range(r))
-                    if any(row):
-                        rows.append(row)
-        sols = kernel_basis(rows, r, field) if rows else [
-            tuple(field.one if t == s else field.zero for t in range(r))
-            for s in range(r)
+            for k, b in enumerate(comp.basis):
+                for s, mp in enumerate(maps):
+                    res = target.residual(mp.apply(b))
+                    for coord, val in enumerate(res):
+                        if val:
+                            columns[s][(j, k, coord)] = val
+        sols = [
+            tuple(sol.get(s, field.zero) for s in range(r))
+            for sol in column_kernel(range(r), columns, field)
         ]
         comp_maps = []
         for sol in sols:

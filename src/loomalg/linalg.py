@@ -197,6 +197,22 @@ def kernel_basis(rows, ncols, field):
     ]
 
 
+def column_kernel(keys, columns, field):
+    """Canonical kernel of a system given one unknown at a time.
+
+    columns[i] is the image {row key: value} of unknown keys[i]; the rows
+    enter the echelon in sorted row-key order.  Returns sparse dicts
+    {unknown key: value}, one per free unknown, in key order."""
+    rows = {}
+    for key, col in zip(keys, columns):
+        for rk, val in col.items():
+            rows.setdefault(rk, {})[key] = val
+    ech = SparseEchelon()
+    for rk in sorted(rows):
+        ech.add_row(rows[rk])
+    return ech.kernel(keys, field)
+
+
 def solve_matvec(m, b, field):
     """One solution x of m x = b, or None when inconsistent."""
     ncols = len(m[0]) if m else 0
@@ -267,19 +283,16 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         if not self.basis or not other.basis:
             return Subspace(self.field, self.ambient)
-        # coefficient solutions of B1^T a - B2^T b = 0 give the common vectors
-        rows = []
-        na, nb = len(self.basis), len(other.basis)
-        for coord in range(self.ambient):
-            row = [self.basis[i][coord] for i in range(na)]
-            row += [-other.basis[j][coord] for j in range(nb)]
-            rows.append(tuple(row))
+        # solutions of sum a_i B1_i - sum b_j B2_j = 0 give the common vectors
+        na = len(self.basis)
+        columns = [_sparse(b) for b in self.basis]
+        columns += [{k: -x for k, x in _sparse(b).items()} for b in other.basis]
         vectors = []
-        for sol in kernel_basis(rows, na + nb, self.field):
+        for sol in column_kernel(range(len(columns)), columns, self.field):
             v = zero_vector(self.field, self.ambient)
-            for i in range(na):
-                if sol[i]:
-                    v = vec_add(v, vec_scale(sol[i], self.basis[i]))
+            for i, c in sol.items():
+                if i < na:
+                    v = vec_add(v, vec_scale(c, self.basis[i]))
             vectors.append(v)
         return Subspace(self.field, self.ambient, vectors)
 

@@ -24,7 +24,7 @@ from .findim import StructureAlgebra, is_associative, property_report
 from .grading import FiniteOrderAuto
 from .linalg import (
     SparseEchelon,
-    kernel_basis,
+    column_kernel,
     mat_mul,
     vec_add,
     vec_is_zero,
@@ -582,68 +582,28 @@ class LoopTower:
 
         The twist equation is evaluated on full supports (including degrees
         the twist pushes outside the window), so no spurious eigenvectors
-        appear; generators are clustered by support interaction to keep each
-        kernel solve small."""
+        appear; each residue is one sparse kernel over all window
+        generators."""
         cached = self._eigen_cache.get(prefix_box.radius)
         if cached is not None:
             return cached
         twist, m, zeta = stage.twist, stage.modulus, stage.zeta
         field = self.field
         images = [twist.apply(b) for b in window]
-        parent = {}
-
-        def find(d):
-            root = d
-            while parent.get(root, root) != root:
-                root = parent[root]
-            while parent.get(d, d) != d:
-                parent[d], d = root, parent[d]
-            return root
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-        for b, img in zip(window, images):
-            degs = list(b.support) + list(img.support)
-            for d in degs[1:]:
-                union(degs[0], d)
-        clusters = {}
-        for t, b in enumerate(window):
-            rep = find(next(iter(b.support)))
-            clusters.setdefault(rep, []).append(t)
+        keys = range(len(window))
         result = {}
         for ell in range(m):
             lam = zeta**ell
+            columns = [
+                img.sub(b.scale(lam)).sparse_items()
+                for b, img in zip(window, images)
+            ]
             basis_ell = []
-            for members in clusters.values():
-                diffs = [images[t].sub(window[t].scale(lam)) for t in members]
-                degrees = sorted({d for df in diffs for d in df.support})
-                rows = []
-                for d in degrees:
-                    cols = [df.coefficient(d) for df in diffs]
-                    for coord in range(self.base.dim):
-                        row = tuple(c[coord] for c in cols)
-                        if any(row):
-                            rows.append(row)
-                if rows:
-                    sols = kernel_basis(rows, len(members), field)
-                else:
-                    sols = [
-                        tuple(
-                            field.one if i == t else field.zero
-                            for i in range(len(members))
-                        )
-                        for t in range(len(members))
-                    ]
-                for sol in sols:
-                    acc = LaurentElement.zero(field, self.n - 1, self.base.dim)
-                    for coeff, t in zip(sol, members):
-                        if coeff:
-                            acc = acc.add(window[t].scale(coeff))
-                    if not acc.is_zero():
-                        basis_ell.append(acc)
+            for sol in column_kernel(keys, columns, field):
+                acc = LaurentElement.zero(field, self.n - 1, self.base.dim)
+                for t, coeff in sorted(sol.items()):
+                    acc = acc.add(window[t].scale(coeff))
+                basis_ell.append(acc)
             result[ell] = basis_ell
         self._eigen_cache[prefix_box.radius] = result
         return result
