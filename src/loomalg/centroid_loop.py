@@ -62,10 +62,9 @@ class StabilizerBasis:
     over the base-centroid basis `maps`; dims_by_degree counts basis members
     per exponent of the outermost variable."""
 
-    def __init__(self, box, elements, verified_radius, dims_by_degree, maps):
+    def __init__(self, box, elements, dims_by_degree, maps):
         self.box = box
         self.elements = list(elements)
-        self.verified_radius = verified_radius
         self.dims_by_degree = dict(dims_by_degree)
         self.maps = list(maps)
 
@@ -219,7 +218,7 @@ def stabilizer_in_box(tower: LoopTower, box: DegreeBox) -> StabilizerBasis:
             elements.append(
                 LaurentElement(field, tower.n, r, support)
             )
-    stab = StabilizerBasis(box, elements, box, dims_by_degree, maps)
+    stab = StabilizerBasis(box, elements, dims_by_degree, maps)
     tower._stabilizer_cache[box.radius] = stab
     return stab
 

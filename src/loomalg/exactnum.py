@@ -14,7 +14,6 @@ smaller field embed into a larger one with :func:`lift`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .errors import FieldMismatch, InvariantViolated, RootOrderUnavailable
 
@@ -22,14 +21,6 @@ Rational = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def euler_phi(n: int) -> int:
-    count = 0
-    for k in range(1, n + 1):
-        if gcd(k, n) == 1:
-            count += 1
-    return count
 
 
 _cyclo_cache: dict[int, tuple[int, ...]] = {}

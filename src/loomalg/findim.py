@@ -272,11 +272,6 @@ def sl_algebra(n: int, field: CycloField) -> StructureAlgebra:
     return StructureAlgebra(field, constants, labels=labels)
 
 
-def zero_algebra(n: int, field: CycloField) -> StructureAlgebra:
-    z = tuple(zero_vector(field, n) for _ in range(n))
-    return StructureAlgebra(field, tuple(z for _ in range(n)))
-
-
 def direct_sum(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra:
     if a.field is not b.field:
         raise DimensionMismatch("direct summands live over different fields")
@@ -415,10 +410,6 @@ def mult_module_closure(a: StructureAlgebra, vectors) -> Subspace:
                 if solver.add(u):
                     spanning.append(u)
     return Subspace(a.field, a.dim, spanning)
-
-
-def ideal_generated(a: StructureAlgebra, x) -> Subspace:
-    return mult_module_closure(a, [x])
 
 
 def centre(a: StructureAlgebra) -> Subspace:
@@ -691,7 +682,7 @@ def _matrix_poly(coeffs, m, field):
     return acc
 
 
-def property_report(a: StructureAlgebra, include_simple: bool = True) -> dict:
+def property_report(a: StructureAlgebra) -> dict:
     """Structural flags with provenance labels for reporting."""
     report = {}
 
@@ -709,10 +700,9 @@ def property_report(a: StructureAlgebra, include_simple: bool = True) -> dict:
     put("lie", is_lie(a), "verified")
     put("pfgc", is_pfgc_findim(a), "verified",
         note="finite generation over the centroid is automatic in finite dimension")
-    if include_simple:
-        simple = is_simple(a)
-        put("simple", simple, "verified")
-        put("central", is_central(a), "verified")
-        put("prime", True if simple else None, "derived-by-theorem",
-            note="simple implies prime; no independent primality decision is run")
+    simple = is_simple(a)
+    put("simple", simple, "verified")
+    put("central", is_central(a), "verified")
+    put("prime", True if simple else None, "derived-by-theorem",
+        note="simple implies prime; no independent primality decision is run")
     return report

@@ -4,10 +4,14 @@ Vectors are tuples of CycloNumber and matrices are tuples of rows.  All
 elimination runs in one engine, SparseEchelon: a row echelon over sparse
 dict rows whose pivot is the smallest column key.  rref, kernel_basis,
 Subspace and SpanSolver are dense front ends that translate to and from it.
-rref back-eliminates the echelon and returns reduced row echelon form with
-leftmost pivots, which is unique, so each subspace has exactly one stored
-basis and subspace equality is equality of representations.  Nothing here
-is ever numeric: all pivots are exact.
+column_kernel is the one front end for systems posed one unknown at a
+time (each unknown given by its sparse image); it is the only place such a
+system is transposed into rows.  rref back-eliminates the echelon and
+returns reduced row echelon form with leftmost pivots, which is unique, so
+each subspace has exactly one stored basis and subspace equality is
+equality of representations; for the same reason a kernel over a fixed
+unknown order does not depend on the order of the rows.  Nothing here is
+ever numeric: all pivots are exact.
 """
 
 from __future__ import annotations

@@ -279,18 +279,6 @@ def box_coordinates(x: LaurentElement, box: DegreeBox):
     return tuple(out)
 
 
-def element_from_box_coordinates(field, base_dim, box: DegreeBox, flat):
-    support = {}
-    degs = box.degrees()
-    if len(flat) != len(degs) * base_dim:
-        raise DimensionMismatch("flat vector does not match the box")
-    for k, deg in enumerate(degs):
-        vec = tuple(flat[k * base_dim : (k + 1) * base_dim])
-        if not vec_is_zero(vec):
-            support[deg] = vec
-    return LaurentElement(field, box.arity, base_dim, support)
-
-
 def _int_matrix_det(m):
     n = len(m)
     if n == 0:
@@ -384,7 +372,7 @@ class ToralMonomialAuto:
 
     def character_value(self, degree) -> CycloNumber:
         e = sum(c * d for c, d in zip(self.c_vector, degree))
-        return self.zeta**e
+        return self.zeta ** (e % self.root_order)
 
     def apply(self, x: LaurentElement) -> LaurentElement:
         if x.arity != self.arity:
@@ -629,7 +617,9 @@ def tower_membership(tower: LoopTower, x: LaurentElement) -> bool:
         piece = x.slice_last(j)
         if not tower_membership(prev, piece):
             return False
-        if stage.twist.apply(piece) != piece.scale(stage.zeta**j):
+        if stage.twist.apply(piece) != piece.scale(
+            stage.zeta ** (j % stage.modulus)
+        ):
             return False
     return True
 
@@ -686,7 +676,7 @@ def _project_once(tower: LoopTower, y: LaurentElement) -> LaurentElement:
         for t in range(m):
             if t:
                 cur = twist.apply(cur)
-            comp = comp.add(cur.scale(zeta ** (-j * t)))
+            comp = comp.add(cur.scale(zeta ** (-j * t % m)))
         comp = comp.scale(inv_m)
         if not comp.is_zero():
             out = out.add(comp.tensor_last(j))

@@ -107,13 +107,6 @@ def pshift(p, c: CycloNumber):
     return out
 
 
-def peval(p, x: CycloNumber):
-    acc = x.field.zero
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def squarefree_decomposition(p):
     """Yun decomposition: [(g, k)] with monic(p) = prod g^k, each g squarefree."""
     p = pmonic(ptrim(p[:]))

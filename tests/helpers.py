@@ -3,13 +3,38 @@
 from __future__ import annotations
 
 from loomalg.centroid_loop import stabilizer_in_box, window_span
-from loomalg.linalg import Subspace, mat_apply
-from loomalg.loops import (
-    DegreeBox,
-    LaurentElement,
-    box_coordinates,
-    element_from_box_coordinates,
-)
+from loomalg.errors import DimensionMismatch
+from loomalg.findim import StructureAlgebra
+from loomalg.linalg import Subspace, mat_apply, vec_is_zero, zero_vector
+from loomalg.loops import DegreeBox, LaurentElement, box_coordinates
+
+
+def zero_algebra(n, field):
+    """The n-dimensional algebra with every product zero."""
+    z = tuple(zero_vector(field, n) for _ in range(n))
+    return StructureAlgebra(field, tuple(z for _ in range(n)))
+
+
+def peval(p, x):
+    """Horner evaluation of a polynomial (constant term first) at x."""
+    acc = x.field.zero
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def element_from_box_coordinates(field, base_dim, box: DegreeBox, flat):
+    """Inverse of box_coordinates: the Laurent element with these
+    coordinates over the box degrees."""
+    support = {}
+    degs = box.degrees()
+    if len(flat) != len(degs) * base_dim:
+        raise DimensionMismatch("flat vector does not match the box")
+    for k, deg in enumerate(degs):
+        vec = tuple(flat[k * base_dim : (k + 1) * base_dim])
+        if not vec_is_zero(vec):
+            support[deg] = vec
+    return LaurentElement(field, box.arity, base_dim, support)
 
 
 def reference_centroid_action(maps, u, x):

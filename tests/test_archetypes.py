@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from helpers import zero_algebra
 from loomalg.archetypes import (
     Archetype,
     RootSystemData,
@@ -23,7 +24,6 @@ from loomalg.findim import (
     direct_sum,
     matrix_algebra,
     sl_algebra,
-    zero_algebra,
 )
 from loomalg.fixtures import (
     fixture_registry,

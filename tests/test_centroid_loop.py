@@ -7,7 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import reference_centroid_action, restricted_stabilizer_span
+from helpers import (
+    reference_centroid_action,
+    restricted_stabilizer_span,
+    zero_algebra,
+)
 from loomalg import centroid_loop, findim
 from loomalg.centroid_loop import (
     FIRST_KIND_ISO_ADVISORY,
@@ -26,7 +30,7 @@ from loomalg.centroid_loop import (
 )
 from loomalg.errors import HypothesisNotMet, LoomError
 from loomalg.exactnum import CycloField
-from loomalg.findim import LinearMap, centroid_algebra, zero_algebra
+from loomalg.findim import LinearMap, centroid_algebra
 from loomalg.fixtures import (
     hermitian_orbit_count,
     hermitian_tower,

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import zero_algebra
 from loomalg.errors import DimensionMismatch, LoomError
 from loomalg.exactnum import CycloField
 from loomalg.findim import (
@@ -17,7 +18,6 @@ from loomalg.findim import (
     centroid_algebra,
     change_basis,
     direct_sum,
-    ideal_generated,
     is_anticommutative,
     is_associative,
     is_central,
@@ -27,10 +27,10 @@ from loomalg.findim import (
     is_pfgc_findim,
     is_simple,
     matrix_algebra,
+    mult_module_closure,
     property_report,
     satisfies_jacobi,
     sl_algebra,
-    zero_algebra,
 )
 from loomalg.fixtures import quaternion_algebra
 from loomalg.linalg import (
@@ -281,13 +281,13 @@ def test_simple_algebras_have_no_proper_ideals_on_samples():
         assert is_simple(a)
         for _ in range(100):
             x = rand_nonzero_vec(rng, a.field, a.dim)
-            assert ideal_generated(a, x).dim == a.dim
+            assert mult_module_closure(a, [x]).dim == a.dim
 
 
 def test_ideal_detects_direct_summand():
     a = direct_sum(sl_algebra(2, F1), sl_algebra(2, F1))
     x = unit_vector(F1, a.dim, 0)
-    ideal = ideal_generated(a, x)
+    ideal = mult_module_closure(a, [x])
     assert ideal.dim == 3
 
 
@@ -346,12 +346,6 @@ def test_property_report_shapes_and_provenance():
     assert rep["prime"]["value"] is True
     assert rep["prime"]["provenance"] == "derived-by-theorem"
     assert rep["associative"]["provenance"] == "verified"
-
-
-def test_property_report_without_simplicity():
-    rep = property_report(sl_algebra(2, F1), include_simple=False)
-    assert "simple" not in rep and "prime" not in rep
-    assert rep["lie"]["value"] is True
 
 
 def test_element_str_uses_labels():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 
 from loomalg.exactnum import CycloField
@@ -13,6 +14,7 @@ from loomalg.linalg import (
     SparseEchelon,
     Subspace,
     charpoly,
+    column_kernel,
     identity_matrix,
     kernel_basis,
     mat_apply,
@@ -305,6 +307,45 @@ def test_sparse_echelon_kernel_agrees_with_dense():
                 for v in to_sympy_rational(m).nullspace()
             ],
         )
+        assert got == want
+
+
+@pytest.mark.parametrize("field, to_sympy, gaussian", [
+    (F1, to_sympy_rational, False),
+    (F4, to_sympy_gauss, True),
+], ids=["Q", "Q(i)"])
+def test_column_kernel_is_sympys_nullspace(field, to_sympy, gaussian):
+    # both kernels put a one on each free unknown (in order) and minus the
+    # reduced row entries on the pivots, so they agree vector for vector
+    rng = random.Random(SEED + 10)
+
+    def entry():
+        re = Fraction(rng.choice((0, 0, 1, -1, 2, -3)))
+        im = Fraction(rng.choice((0, 0, 1, -2))) if gaussian else 0
+        return field.from_rational(re) + field.from_rational(im) * field.zeta
+
+    def from_sympy(x):
+        re, im = sympy.expand(x).as_real_imag()
+        return (field.from_rational(Fraction(str(re)))
+                + field.from_rational(Fraction(str(im))) * field.zeta)
+
+    for _ in range(12):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+        m = tuple(tuple(entry() for _ in range(cols)) for _ in range(rows))
+        # unknown j is the column ("u", j); its image is keyed by row name
+        keys = [("u", j) for j in range(cols)]
+        columns = [
+            {("row", i): m[i][j] for i in range(rows) if m[i][j]}
+            for j in range(cols)
+        ]
+        got = [
+            tuple(sol.get(k, field.zero) for k in keys)
+            for sol in column_kernel(keys, columns, field)
+        ]
+        want = [
+            tuple(from_sympy(x) for x in v)
+            for v in to_sympy(m).nullspace(simplify=True)
+        ]
         assert got == want
 
 

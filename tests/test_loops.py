@@ -7,13 +7,14 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import element_from_box_coordinates
 from loomalg import loops
 from loomalg.errors import (
     DimensionMismatch,
     InvalidGrading,
     InvariantViolated,
 )
-from loomalg.exactnum import CycloField, primitive_root
+from loomalg.exactnum import CycloField, CycloNumber, primitive_root
 from loomalg.findim import matrix_algebra, sl_algebra
 from loomalg.fixtures import (
     hermitian_tower,
@@ -31,11 +32,11 @@ from loomalg.loops import (
     box_coordinates,
     canonical_form,
     canonical_reconstruct,
-    element_from_box_coordinates,
     free_basis_check,
     inherited_flags,
     laurent_multiply,
     laurent_str,
+    member_projection,
     multiloop,
     tower_membership,
 )
@@ -200,10 +201,24 @@ def test_multiloop_rejects_noncommuting_autos():
         multiloop(base, [a1, a2], [field.zeta**2, field.zeta])
 
 
-def test_membership_is_linear_and_basis_is_exact():
+def _named_tower(name):
+    if name == "quantum-torus-2":
+        return quantum_torus_tower(2)["tower"]
+    if name == "hermitian-1":
+        return hermitian_tower(1)["tower"]
+    return next(
+        s["tower"] for s in synthetic_kind_towers() if s["name"] == name
+    )
+
+
+@pytest.mark.parametrize(
+    "name", ["quantum-torus-2", "hermitian-1", "synthetic-b4"]
+)
+def test_membership_is_linear_and_basis_is_exact(name):
+    # hermitian-1 inverts a variable, and synthetic-b4 also twists by a
+    # nontrivial character, so their twists move degrees
     rng = random.Random(SEED + 2)
-    qt = quantum_torus_tower(2)
-    tower = qt["tower"]
+    tower = _named_tower(name)
     box = DegreeBox((2, 2))
     basis = tower.basis_in_box(box)
     # every random combination of window basis vectors is a member
@@ -211,7 +226,9 @@ def test_membership_is_linear_and_basis_is_exact():
         x = rand_member(rng, tower, box)
         assert tower_membership(tower, x)
     # basis vectors are linearly independent and exactly span the members:
-    # a window element outside their span must fail membership
+    # a window element outside their span must fail membership, and the
+    # projection of a window element (a member, still inside the symmetric
+    # box) must lie in their span
     span = Subspace(
         tower.field, box.volume() * tower.base.dim,
         [box_coordinates(b, box) for b in basis],
@@ -224,7 +241,35 @@ def test_membership_is_linear_and_basis_is_exact():
             continue
         inside = span.contains(box_coordinates(y, box))
         assert tower_membership(tower, y) == inside
+        assert span.contains(
+            box_coordinates(member_projection(tower, y), box)
+        )
         probes += 1
+
+
+@pytest.mark.parametrize(
+    "name", ["quantum-torus-2", "hermitian-1", "synthetic-b4"]
+)
+def test_projection_and_membership_invert_no_roots(name, monkeypatch):
+    # zeta^k for k < 0 equals zeta^(k mod order); a negative power would
+    # run the extended-Euclid inverse for every negative degree
+    tower = _named_tower(name)
+    calls = []
+    original = CycloNumber.inverse
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(CycloNumber, "inverse", counted)
+    field, d = tower.field, tower.base.dim
+    ones = (field.one,) * d
+    for deg in DegreeBox((3, 3)).degrees():
+        y = LaurentElement.monomial(field, 2, d, deg, ones)
+        p = member_projection(tower, y)
+        assert tower_membership(tower, p)
+        assert tower_membership(tower, y) == (p == y)
+    assert calls == []
 
 
 def test_two_route_multiloop_membership():

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from helpers import peval
 from loomalg import polyfactor
 from loomalg.errors import LoomError
 from loomalg.exactnum import CycloField, primitive_root
@@ -15,7 +16,6 @@ from loomalg.polyfactor import (
     factor,
     pdeg,
     pdivmod,
-    peval,
     pgcd,
     pmonic,
     pmul,
