@@ -36,7 +36,6 @@ from .findim import (
     centroid_algebra,
     change_basis,
     direct_sum,
-    gl_algebra,
     is_associative,
     is_central,
     is_commutative,

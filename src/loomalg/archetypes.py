@@ -32,7 +32,6 @@ from .linalg import (
     kernel_basis,
     mat_apply,
     mat_mul,
-    solve_matvec,
     vec_add,
     vec_is_zero,
     vec_scale,
@@ -171,9 +170,7 @@ def _restricted_matrix(op, block, field):
         coords = solver.express(img)
         if coords is None:
             return None
-        cols.append(tuple(
-            coords.get(i, field.zero) for i in range(len(block))
-        ))
+        cols.append(coords)
     return tuple(zip(*cols))
 
 
@@ -301,22 +298,13 @@ def _rational_root_coordinates(roots, field):
     """Coordinates of every root over a maximal independent subset; all
     entries must be rational."""
     rank_solver = SpanSolver(field, len(roots[0]))
-    gamma = []
-    for alpha in roots:
-        if rank_solver.add(alpha):
-            gamma.append(alpha)
-    r = len(gamma)
-    matrix = tuple(
-        tuple(gamma[k][i] for k in range(r)) for i in range(len(roots[0]))
-    )
+    independent = [g for g, alpha in enumerate(roots) if rank_solver.add(alpha)]
     coords = []
     for beta in roots:
-        sol = solve_matvec(matrix, beta, field)
-        if sol is None:
-            raise Undecided("root fell outside the root span")
+        sol = rank_solver.express(beta)
         rat = []
-        for c in sol:
-            q = _rational_value(c)
+        for g in independent:
+            q = _rational_value(sol[g])
             if q is None:
                 raise NotSplit(
                     "root coordinates are irrational over the session field"

@@ -237,10 +237,8 @@ def centroid_tower(tower: LoopTower):
     again a toral-monomial tower, over the centroid algebra."""
     base = tower.base
     calg, maps = centroid_algebra(base)
-    r = calg.dim
-    field = tower.field
     d = base.dim
-    solver = SpanSolver(field, d * d)
+    solver = SpanSolver(tower.field, d * d)
     for mp in maps:
         if not solver.add(mp.flat()):
             raise InvariantViolated("centroid basis must be independent")
@@ -255,7 +253,7 @@ def centroid_tower(tower: LoopTower):
             coords = solver.express(flat)
             if coords is None:
                 raise InvariantViolated("conjugation left the centroid span")
-            cols.append(tuple(coords.get(s, field.zero) for s in range(r)))
+            cols.append(coords)
         matrix = tuple(zip(*cols))
         theta_hat = FiniteOrderAuto(calg, matrix)
         twist = ToralMonomialAuto(

@@ -202,72 +202,39 @@ def matrix_algebra(n: int, field: CycloField) -> StructureAlgebra:
     return StructureAlgebra(field, constants, unit=unit, labels=labels)
 
 
-def _matrix_units_to_vec(field, n, entries):
-    vec = [field.zero] * (n * n)
-    for (a, b), c in entries.items():
-        vec[a * n + b] = vec[a * n + b] + c
-    return vec
-
-
-def gl_algebra(n: int, field: CycloField) -> StructureAlgebra:
-    """All n x n matrices as a Lie algebra under the commutator."""
-    mat = matrix_algebra(n, field)
-    dim = n * n
-    constants = []
-    for i in range(dim):
-        row = []
-        ei = mat.basis_vector(i)
-        for j in range(dim):
-            ej = mat.basis_vector(j)
-            vec = tuple(
-                a - b
-                for a, b in zip(mat.multiply(ei, ej), mat.multiply(ej, ei))
-            )
-            row.append(vec)
-        constants.append(row)
-    return StructureAlgebra(field, constants, labels=mat.labels)
+def sl_basis(n: int, field: CycloField):
+    """The basis of sl(n) as flattened n x n matrices, with labels: the
+    off-diagonal matrix units E_ab, then H_k = E_kk - E_(k+1)(k+1)."""
+    if n < 2:
+        raise ValueError("sl(n) needs n >= 2")
+    units = [(a, b) for a in range(n) for b in range(n) if a != b]
+    entries = [{a * n + b: field.one} for a, b in units]
+    entries += [{k * (n + 1): field.one, (k + 1) * (n + 1): -field.one}
+                for k in range(n - 1)]
+    vecs = [tuple(e.get(i, field.zero) for i in range(n * n)) for e in entries]
+    labels = [f"E{a + 1}{b + 1}" for a, b in units]
+    labels += [f"H{k + 1}" for k in range(n - 1)]
+    return vecs, labels
 
 
 def sl_algebra(n: int, field: CycloField) -> StructureAlgebra:
-    """Traceless n x n matrices under the commutator.
-
-    Basis: the off-diagonal matrix units E_ab, then H_k = E_kk - E_(k+1)(k+1).
-    """
-    if n < 2:
-        raise ValueError("sl(n) needs n >= 2")
-    basis_mats = []
-    labels = []
-    for a in range(n):
-        for b in range(n):
-            if a != b:
-                basis_mats.append({(a, b): field.one})
-                labels.append(f"E{a + 1}{b + 1}")
-    for k in range(n - 1):
-        basis_mats.append({(k, k): field.one, (k + 1, k + 1): -field.one})
-        labels.append(f"H{k + 1}")
+    """Traceless n x n matrices under the commutator, on `sl_basis`."""
+    vecs, labels = sl_basis(n, field)
     mat = matrix_algebra(n, field)
-    vecs = [_matrix_units_to_vec(field, n, bm) for bm in basis_mats]
     solver = SpanSolver(field, n * n)
     for v in vecs:
         solver.add(v)
-    dim = len(vecs)
     constants = []
-    for i in range(dim):
+    for x in vecs:
         row = []
-        for j in range(dim):
+        for y in vecs:
             comm = tuple(
-                a - b
-                for a, b in zip(
-                    mat.multiply(vecs[i], vecs[j]), mat.multiply(vecs[j], vecs[i])
-                )
+                a - b for a, b in zip(mat.multiply(x, y), mat.multiply(y, x))
             )
             coords = solver.express(comm)
             if coords is None:
                 raise InvariantViolated("commutator left the traceless span")
-            vec = [field.zero] * dim
-            for g, c in coords.items():
-                vec[g] = c
-            row.append(tuple(vec))
+            row.append(coords)
         constants.append(row)
     return StructureAlgebra(field, constants, labels=labels)
 
@@ -312,23 +279,10 @@ def change_basis(a: StructureAlgebra, columns) -> StructureAlgebra:
     for col in cols:
         if not solver.add(col):
             raise DimensionMismatch("proposed basis is linearly dependent")
-    constants = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            prod = a.multiply(cols[i], cols[j])
-            coords = solver.express(prod)
-            vec = [field.zero] * n
-            for g, c in coords.items():
-                vec[g] = c
-            row.append(tuple(vec))
-        constants.append(row)
+    constants = [
+        [solver.express(a.multiply(x, y)) for y in cols] for x in cols
+    ]
     unit = solver.express(a.unit) if a.unit is not None else None
-    if unit is not None:
-        uv = [field.zero] * n
-        for g, c in unit.items():
-            uv[g] = c
-        unit = tuple(uv)
     return StructureAlgebra(field, constants, unit=unit)
 
 
@@ -513,19 +467,13 @@ def centroid_algebra(a: StructureAlgebra):
                 raise InvariantViolated(
                     "centroid is not closed under composition"
                 )
-            vec = [field.zero] * r
-            for g, c in coords.items():
-                vec[g] = c
-            row.append(tuple(vec))
+            row.append(coords)
         constants.append(row)
-    ident = solver.express(LinearMap.identity(field, a.dim).flat())
-    if ident is None:
+    unit = solver.express(LinearMap.identity(field, a.dim).flat())
+    if unit is None:
         raise InvariantViolated("centroid span lost the identity map")
-    unit = [field.zero] * r
-    for g, c in ident.items():
-        unit[g] = c
     labels = [f"c{i}" for i in range(r)]
-    alg = StructureAlgebra(field, constants, unit=tuple(unit), labels=labels)
+    alg = StructureAlgebra(field, constants, unit=unit, labels=labels)
     for mp in maps:
         mp.scalar = _scalar_multiple(mp.matrix)
     a._facts["centroid"] = (alg, tuple(maps))  # shared, so immutable

@@ -13,9 +13,10 @@ from .findim import (
     direct_sum,
     matrix_algebra,
     sl_algebra,
+    sl_basis,
 )
 from .grading import FiniteOrderAuto, grading_from_auto
-from .linalg import solve_matvec, unit_vector, zero_vector
+from .linalg import SpanSolver, unit_vector, zero_vector
 from .loops import (
     LaurentElement,
     LoopTower,
@@ -26,14 +27,16 @@ from .loops import (
 
 
 def matrix_inverse(field, m):
+    """Inverse of a square matrix: column k holds the coordinates of the
+    k-th unit vector over the columns of m."""
     n = len(m)
-    cols = []
-    for k in range(n):
-        x = solve_matvec(m, unit_vector(field, n, k), field)
-        if x is None:
-            raise ValueError("matrix is singular")
-        cols.append(x)
-    return tuple(tuple(cols[c][r] for c in range(n)) for r in range(n))
+    solver = SpanSolver(field, n)
+    for col in zip(*m):
+        solver.add(col)
+    if solver.dim < n:
+        raise ValueError("matrix is singular")
+    return tuple(zip(*(solver.express(unit_vector(field, n, k))
+                       for k in range(n))))
 
 
 def conjugation_auto(alg: StructureAlgebra, u) -> FiniteOrderAuto:
@@ -57,58 +60,22 @@ def conjugation_auto(alg: StructureAlgebra, u) -> FiniteOrderAuto:
     return FiniteOrderAuto(alg, matrix)
 
 
-def _sl_basis_matrices(n: int, field):
-    """Matrices behind the sl(n) basis: off-diagonal units then H_k."""
-    mats = []
-    for a in range(n):
-        for b in range(n):
-            if a != b:
-                mats.append(
-                    tuple(
-                        tuple(
-                            field.one if (r, c) == (a, b) else field.zero
-                            for c in range(n)
-                        )
-                        for r in range(n)
-                    )
-                )
-    for k in range(n - 1):
-        mats.append(
-            tuple(
-                tuple(
-                    field.one if r == c == k
-                    else (-field.one if r == c == k + 1 else field.zero)
-                    for c in range(n)
-                )
-                for r in range(n)
-            )
-        )
-    return mats
-
-
 def sl_matrix_auto(alg: StructureAlgebra, n: int, f) -> FiniteOrderAuto:
     """Automorphism of a traceless matrix algebra induced by a matrix-level
     map f; alg must be sl_algebra(n, field)."""
-    from .linalg import SpanSolver
-
     field = alg.field
-    mats = _sl_basis_matrices(n, field)
+    flat, _ = sl_basis(n, field)
     solver = SpanSolver(field, n * n)
-    flat = [tuple(v for row in m for v in row) for m in mats]
     for v in flat:
         solver.add(v)
     cols = []
-    for m in mats:
-        img = f(m)
-        coords = solver.express(tuple(v for row in img for v in row))
+    for v in flat:
+        img = f(tuple(v[r * n:(r + 1) * n] for r in range(n)))
+        coords = solver.express(tuple(x for row in img for x in row))
         if coords is None:
             raise ValueError("map does not preserve the traceless space")
-        vec = [field.zero] * alg.dim
-        for g, c in coords.items():
-            vec[g] = c
-        cols.append(tuple(vec))
-    matrix = tuple(zip(*cols))
-    return FiniteOrderAuto(alg, matrix)
+        cols.append(coords)
+    return FiniteOrderAuto(alg, tuple(zip(*cols)))
 
 
 def neg_antitranspose(field, m):

@@ -118,30 +118,20 @@ class ModGrading:
     def homogeneous_decomposition(self, vec):
         """Split a vector into its graded parts, indexed by degree class."""
         solver = SpanSolver(self.algebra.field, self.algebra.dim)
-        tags = []
-        for i, comp in enumerate(self.components):
-            for b in comp.basis:
-                solver.add(b)
-                tags.append(i)
+        gens = [(i, b) for i, comp in enumerate(self.components)
+                for b in comp.basis]
+        for _, b in gens:
+            solver.add(b)
         coords = solver.express(vec)
         if coords is None:
             raise InvalidGrading("vector is outside the component sum")
         parts = {}
-        for g, c in coords.items():
-            i = tags[g]
-            scaled = vec_scale(c, self._gen_vector(g))
-            cur = parts.get(i)
-            parts[i] = scaled if cur is None else vec_add(cur, scaled)
+        for (i, b), c in zip(gens, coords):
+            if c:
+                scaled = vec_scale(c, b)
+                cur = parts.get(i)
+                parts[i] = scaled if cur is None else vec_add(cur, scaled)
         return parts
-
-    def _gen_vector(self, g):
-        seen = 0
-        for comp in self.components:
-            for b in comp.basis:
-                if seen == g:
-                    return b
-                seen += 1
-        raise IndexError(g)
 
     def __eq__(self, other):
         if not isinstance(other, ModGrading):
@@ -207,11 +197,10 @@ def auto_from_grading(grading: ModGrading) -> FiniteOrderAuto:
     cols = []
     for j in range(n):
         e = algebra.basis_vector(j)
-        coords = solver.express(e)
         img = zero_vector(field, n)
-        for g, c in coords.items():
-            i, b = gen_info[g]
-            img = vec_add(img, vec_scale(c * grading.zeta**i, b))
+        for (i, b), c in zip(gen_info, solver.express(e)):
+            if c:
+                img = vec_add(img, vec_scale(c * grading.zeta**i, b))
         cols.append(img)
     matrix = tuple(zip(*cols))
     return FiniteOrderAuto(algebra, matrix)

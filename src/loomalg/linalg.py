@@ -10,8 +10,11 @@ system is transposed into rows.  rref back-eliminates the echelon and
 returns reduced row echelon form with leftmost pivots, which is unique, so
 each subspace has exactly one stored basis and subspace equality is
 equality of representations; for the same reason a kernel over a fixed
-unknown order does not depend on the order of the rows.  Nothing here is
-ever numeric: all pivots are exact.
+unknown order does not depend on the order of the rows.  SpanSolver is
+the one way to write a vector in a basis: express() gives its dense
+coordinates over the generators, and an inverse matrix is the coordinates
+of the unit vectors over the columns.  Nothing here is ever numeric: all
+pivots are exact.
 """
 
 from __future__ import annotations
@@ -217,19 +220,6 @@ def column_kernel(keys, columns, field):
     return ech.kernel(keys, field)
 
 
-def solve_matvec(m, b, field):
-    """One solution x of m x = b, or None when inconsistent."""
-    ncols = len(m[0]) if m else 0
-    aug = [tuple(row) + (bv,) for row, bv in zip(m, b)]
-    reduced, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [field.zero] * ncols
-    for k, p in enumerate(pivots):
-        x[p] = reduced[k][ncols]
-    return tuple(x)
-
-
 def charpoly(m, field: CycloField):
     """Characteristic polynomial of a square matrix, low degree first, monic."""
     n = len(m)
@@ -320,14 +310,14 @@ class Subspace:
 
 
 class SpanSolver:
-    """Incremental span with coordinate certificates.
+    """Incremental span that writes vectors in the generators' coordinates.
 
-    Generators are added one at a time; express() rewrites a vector as a
-    combination of the generators actually added (by index), or returns None
-    when the vector lies outside the span.  Generator g enters the echelon
-    tagged with a one in the extra column ambient + g, after the coordinate
-    columns, so reducing a vector leaves minus its coordinates in the tag
-    columns.
+    Generators are added one at a time; express() returns the coordinates
+    of a vector over every generator added so far, or None when the vector
+    lies outside the span.  Generator g enters the echelon tagged with a one
+    in the extra column ambient + g, after the coordinate columns, so
+    reducing a vector leaves minus its coordinates in the tag columns; a
+    generator that did not enlarge the span gets no tag and coordinate zero.
     """
 
     def __init__(self, field: CycloField, ambient: int):
@@ -360,8 +350,12 @@ class SpanSolver:
         return self._residual(vec)[1]
 
     def express(self, vec):
-        """Combination dict {generator index: coefficient} with vec = sum, or None."""
+        """Dense coordinates over the generators in order of addition, so
+        that vec = sum of coordinate times generator, or None."""
         rest, inside = self._residual(vec)
         if not inside:
             return None
-        return {k - self.ambient: -c for k, c in rest.items()}
+        coords = [self.field.zero] * self.count
+        for k, c in rest.items():
+            coords[k - self.ambient] = -c
+        return tuple(coords)

@@ -109,12 +109,9 @@ def test_sl_algebra_bracket_matches_matrix_commutator(n):
                     mat_mul(mats[i], mats[j]), mat_mul(mats[j], mats[i])
                 )
             ]
-            coords = solver.express(tuple(v for row in comm for v in row))
-            want = list(zero_vector(F1, alg.dim))
-            for g, c in coords.items():
-                want[g] = c
+            want = solver.express(tuple(v for row in comm for v in row))
             got = alg.multiply(alg.basis_vector(i), alg.basis_vector(j))
-            assert got == tuple(want)
+            assert got == want
 
 
 def test_sl2_is_traceless_and_three_dimensional():
@@ -245,11 +242,7 @@ def test_centroid_transport_under_isomorphism():
         conj_cols = []
         for k in range(n):
             img = chi.apply(cols[k])
-            coords = rho_inv_solver.express(img)
-            vec = [F1.zero] * n
-            for g, c in coords.items():
-                vec[g] = c
-            conj_cols.append(tuple(vec))
+            conj_cols.append(rho_inv_solver.express(img))
         conj = tuple(zip(*conj_cols))
         flat = tuple(v for row in conj for v in row)
         assert target.express(flat) is not None

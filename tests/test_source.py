@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -24,6 +25,45 @@ def test_no_bare_asserts_in_the_package():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def _identifiers(source: str) -> set:
+    """Names a module reads, imports or looks up as attributes; the name a
+    def or class statement binds is not among them."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.asname or node.name)
+    return out
+
+
+def test_every_export_is_used():
+    # each name the package exports needs a reader besides its own
+    # definition: package code, a test, or the README
+    repo = SRC.parent.parent
+    init = SRC / "__init__.py"
+    exports = [
+        alias.asname or alias.name
+        for node in ast.parse(init.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert exports
+    seen = set()
+    for path in [*SRC.glob("*.py"), *(repo / "tests").glob("*.py")]:
+        if path != init:
+            seen |= _identifiers(path.read_text(encoding="utf-8"))
+    readme = (repo / "README.md").read_text(encoding="utf-8")
+    unused = [
+        name for name in exports
+        if name not in seen
+        and not re.search(rf"\b{re.escape(name)}\b", readme)
+    ]
+    assert unused == []
 
 
 _TRACER_ROUND_TRIP = """
