@@ -177,23 +177,9 @@ def _restricted_matrix(op, block, field):
 # ---------------------------------------------------------------------------
 # Lie classification
 
-def _find_cartan(a: StructureAlgebra, cartan_hint, seed: int):
+def _find_cartan(a: StructureAlgebra, seed: int):
     field = a.field
     n = a.dim
-    if cartan_hint is not None:
-        family = [tuple(v) for v in cartan_hint.basis]
-        for h in family:
-            if _split_spectrum(a.left_mult(h).matrix, field) is None:
-                raise NotSplit(
-                    "cartan_hint contains an element whose adjoint action "
-                    "does not diagonalize over the session field"
-                )
-        for i, h in enumerate(family):
-            for g in family[i + 1:]:
-                if not vec_is_zero(a.multiply(h, g)):
-                    raise NotSplit("cartan_hint is not commutative")
-        return family
-
     rng = random.Random(seed)
     family = []
     span = SpanSolver(field, n)
@@ -221,8 +207,7 @@ def _find_cartan(a: StructureAlgebra, cartan_hint, seed: int):
                 break
         if found is None:
             raise NotSplit(
-                "no split toral extension found within the retry budget; "
-                "supply cartan_hint"
+                "no split toral extension found within the retry budget"
             )
         family.append(found)
         span.add(found)
@@ -407,11 +392,10 @@ def _branch_length(adj, center, first):
         length += 1
 
 
-def lie_split_type(a: StructureAlgebra, cartan_hint: Subspace | None = None,
-                   seed: int = _SEED) -> Archetype:
+def lie_split_type(a: StructureAlgebra, seed: int = _SEED) -> Archetype:
     """Dynkin label of a split simple Lie algebra over the session field.
 
-    Finds a split Cartan subalgebra (seeded search, or the hint), decomposes
+    Finds a split Cartan subalgebra by a seeded search, decomposes
     the algebra into root spaces, reads Cartan integers off root strings,
     and matches the diagram against the registry."""
     if not is_lie(a):
@@ -419,7 +403,7 @@ def lie_split_type(a: StructureAlgebra, cartan_hint: Subspace | None = None,
     if not is_simple(a):
         raise NotSimple("algebra is not simple")
     field = a.field
-    family = _find_cartan(a, cartan_hint, seed)
+    family = _find_cartan(a, seed)
     r = len(family)
     blocks = _joint_eigenspaces(a, family)
     zero_weight = tuple(field.zero for _ in range(r))
@@ -428,8 +412,7 @@ def lie_split_type(a: StructureAlgebra, cartan_hint: Subspace | None = None,
         if weight == zero_weight:
             if len(vecs) != r:
                 raise NotSplit(
-                    "zero weight space exceeds the toral subalgebra; "
-                    "supply cartan_hint"
+                    "zero weight space exceeds the toral subalgebra"
                 )
             continue
         if len(vecs) != 1:
@@ -602,11 +585,10 @@ def associative_type(a: StructureAlgebra, seed: int = _SEED) -> Archetype:
     )
 
 
-def algebra_type(a: StructureAlgebra, cartan_hint=None,
-                 seed: int = _SEED) -> Archetype:
+def algebra_type(a: StructureAlgebra, seed: int = _SEED) -> Archetype:
     """Archetype of an algebra, by the first registered variety it is in."""
     if is_lie(a):
-        return lie_split_type(a, cartan_hint=cartan_hint, seed=seed)
+        return lie_split_type(a, seed=seed)
     if is_associative(a):
         if a.dim == 1 and is_commutative(a):
             return Archetype("CommAssociative", "Unit")
@@ -617,7 +599,7 @@ def algebra_type(a: StructureAlgebra, cartan_hint=None,
 # ---------------------------------------------------------------------------
 # towers
 
-def tower_type(tower: LoopTower, cartan_hint=None, seed: int = _SEED) -> Archetype:
+def tower_type(tower: LoopTower, seed: int = _SEED) -> Archetype:
     """Archetype of a tower: the base's archetype, by permanence, with the
     step count attached."""
     base = tower.base
@@ -631,7 +613,7 @@ def tower_type(tower: LoopTower, cartan_hint=None, seed: int = _SEED) -> Archety
             "tower typing needs flags the base does not have: "
             + ", ".join(missing)
         )
-    inner = algebra_type(base, cartan_hint=cartan_hint, seed=seed)
+    inner = algebra_type(base, seed=seed)
     return Archetype(
         inner.variety, inner.label,
         provenance="by permanence",

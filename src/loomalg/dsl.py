@@ -416,12 +416,20 @@ class _Parser:
             return -self.int_literal()
         return self.int_literal()
 
-    def int_list(self):
-        vals = [self.signed_int()]
+    def comma_list(self, item):
+        """One or more items separated by commas."""
+        vals = [item()]
         while self.at_punct(","):
             self.advance()
-            vals.append(self.signed_int())
+            vals.append(item())
         return tuple(vals)
+
+    def bracketed(self, item, empty=False):
+        """`[` comma_list `]`; with empty, `[]` gives ()."""
+        self.expect_punct("[")
+        vals = () if empty and self.at_punct("]") else self.comma_list(item)
+        self.expect_punct("]")
+        return vals
 
     # -- literals ----------------------------------------------------------
 
@@ -461,53 +469,6 @@ class _Parser:
             order, power = self.zeta_factor()
             return Scalar(negative, num, den, order, power)
         return Scalar(negative, num, den, None, 1)
-
-    def scalar_matrix(self):
-        self.expect_punct("[")
-        rows = [self.scalar_row()]
-        while self.at_punct(","):
-            self.advance()
-            rows.append(self.scalar_row())
-        self.expect_punct("]")
-        return tuple(rows)
-
-    def scalar_row(self):
-        self.expect_punct("[")
-        entries = [self.scalar()]
-        while self.at_punct(","):
-            self.advance()
-            entries.append(self.scalar())
-        self.expect_punct("]")
-        return tuple(entries)
-
-    def int_matrix(self):
-        self.expect_punct("[")
-        rows = [self.int_row()]
-        while self.at_punct(","):
-            self.advance()
-            rows.append(self.int_row())
-        self.expect_punct("]")
-        return tuple(rows)
-
-    def int_row(self):
-        self.expect_punct("[")
-        entries = [self.signed_int()]
-        while self.at_punct(","):
-            self.advance()
-            entries.append(self.signed_int())
-        self.expect_punct("]")
-        return tuple(entries)
-
-    def int_vector(self):
-        self.expect_punct("[")
-        entries = []
-        if not self.at_punct("]"):
-            entries.append(self.signed_int())
-            while self.at_punct(","):
-                self.advance()
-                entries.append(self.signed_int())
-        self.expect_punct("]")
-        return tuple(entries)
 
     # -- statements --------------------------------------------------------
 
@@ -597,7 +558,7 @@ class _Parser:
         entries = ()
         if kind in ("conj", "matrix"):
             self.expect_punct(",")
-            entries = self.scalar_matrix()
+            entries = self.bracketed(lambda: self.bracketed(self.scalar))
         self.expect_punct(")")
         self.expect_punct(";")
         return AutoDecl(name.text, kind, target.text, entries,
@@ -636,13 +597,7 @@ class _Parser:
         autos, stages = (), ()
         if kind == "multiloop":
             self.expect_punct(",")
-            self.expect_punct("[")
-            names = [self.ref_name().text]
-            while self.at_punct(","):
-                self.advance()
-                names.append(self.ref_name().text)
-            self.expect_punct("]")
-            autos = tuple(names)
+            autos = self.bracketed(lambda: self.ref_name().text)
         else:
             parts = []
             while self.at_punct(","):
@@ -668,9 +623,9 @@ class _Parser:
         char_order = None
         if self.at_punct(","):
             self.advance()
-            m_matrix = self.int_matrix()
+            m_matrix = self.bracketed(lambda: self.bracketed(self.signed_int))
             self.expect_punct(",")
-            c_vector = self.int_vector()
+            c_vector = self.bracketed(self.signed_int, empty=True)
             if self.at_punct(","):
                 self.advance()
                 char_order, power = self.zeta_factor()
@@ -691,7 +646,7 @@ class _Parser:
             self.fail("expected box or seed after report")
         key = self.advance().text
         if key == "box":
-            values = self.int_list()
+            values = self.comma_list(self.signed_int)
         else:
             values = (self.int_literal(),)
         self.expect_punct(";")
@@ -721,7 +676,7 @@ class _Parser:
             box = None
             if self.at_word("box"):
                 self.advance()
-                box = self.int_list()
+                box = self.comma_list(self.signed_int)
             self.expect_punct(";")
             return Command(word, target.text, box=box, span=start.span)
         if word in ("kind", "type"):
@@ -770,7 +725,7 @@ class _Parser:
         self.expect_punct("*")
         self.expect_word("z")
         self.expect_punct("(")
-        degree = self.int_list()
+        degree = self.comma_list(self.signed_int)
         self.expect_punct(")")
         return ElementTerm(sign, coeff, label.text, degree, span=span)
 

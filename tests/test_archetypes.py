@@ -31,7 +31,6 @@ from loomalg.fixtures import (
     quantum_torus_tower,
     quaternion_algebra,
 )
-from loomalg.linalg import Subspace, unit_vector
 
 
 # -- registry ---------------------------------------------------------------
@@ -118,15 +117,6 @@ def test_label_survives_change_of_basis():
             except Exception:
                 continue
         assert lie_split_type(b).label == "A1"
-
-
-def test_cartan_hint_is_honoured():
-    field = CycloField(1)
-    a = sl_algebra(2, field)
-    hint = Subspace(field, 3, [unit_vector(field, 3, 2)])  # span of H1
-    arch = lie_split_type(a, cartan_hint=hint)
-    assert arch.label == "A1"
-    assert arch.data.cartan == hint
 
 
 def test_lie_classifier_rejects_non_lie_and_non_simple():

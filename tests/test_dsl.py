@@ -154,3 +154,99 @@ def test_warning_only_documents_still_build():
     codes = {d.code for d in result.warnings}
     assert "no-commands" in codes
     assert "unused-declaration" in codes
+
+
+# -- malformed lists --------------------------------------------------------
+
+# Every bracketed and comma-separated list goes through one parser routine;
+# these documents pin the full diagnostic text, position and code for
+# malformed lists.  Only the character vector may be empty, so its `[]`
+# parses and only the length check fires.
+LIST_HEAD = "field zeta 2;\nalgebra A = mat(2);\n"
+MALFORMED_LISTS = {
+    "empty-matrix-row": (
+        "auto s = matrix(A, [[1, 0, 0, 0], []]);\n",
+        [
+            "1:1: warning[no-commands]: document has no commands",
+            "2:1: warning[unused-declaration]: 'A' is never used",
+            "3:36: error[syntax-error]: expected an integer, found ']'",
+        ],
+    ),
+    "empty-degree-row": (
+        "auto id = identity(A);\ntower T = loop(A, stage(id, 2, [[]], [0]));\nbuild tower T;\n",
+        [
+            "3:1: warning[unused-declaration]: 'id' is never used",
+            "4:34: error[syntax-error]: expected an integer, found ']'",
+            "5:1: error[unresolved-name]: unresolved name 'T'",
+        ],
+    ),
+    "trailing-comma-in-matrix": (
+        "auto s = conj(A, [[1, 0], [0, -1],]);\n",
+        [
+            "1:1: warning[no-commands]: document has no commands",
+            "2:1: warning[unused-declaration]: 'A' is never used",
+            "3:35: error[syntax-error]: expected '[', found ']'",
+        ],
+    ),
+    "trailing-comma-in-box": (
+        "auto s = identity(A);\ntower T = multiloop(A, [s]);\ncentroid T box 1, ;\n",
+        [
+            "1:1: warning[no-commands]: document has no commands",
+            "4:1: warning[unused-declaration]: 'T' is never used",
+            "5:19: error[syntax-error]: expected an integer, found ';'",
+        ],
+    ),
+    "trailing-comma-in-character": (
+        "auto id = identity(A);\ntower T = loop(A, stage(id, 2, [[-1]], [0,]));\nbuild tower T;\n",
+        [
+            "3:1: warning[unused-declaration]: 'id' is never used",
+            "4:43: error[syntax-error]: expected an integer, found ']'",
+            "5:1: error[unresolved-name]: unresolved name 'T'",
+        ],
+    ),
+    "missing-bracket-in-matrix": (
+        "auto s = conj(A, [[1, 0], [0, -1]);\n",
+        [
+            "1:1: warning[no-commands]: document has no commands",
+            "2:1: warning[unused-declaration]: 'A' is never used",
+            "3:34: error[syntax-error]: expected ']', found ')'",
+        ],
+    ),
+    "missing-bracket-in-names": (
+        "auto s = identity(A);\ntower T = multiloop(A, [s);\nbuild tower T;\n",
+        [
+            "3:1: warning[unused-declaration]: 's' is never used",
+            "4:26: error[syntax-error]: expected ']', found ')'",
+            "5:1: error[unresolved-name]: unresolved name 'T'",
+        ],
+    ),
+    "empty-character-vector": (
+        "auto id = identity(A);\ntower T = loop(A, stage(id, 2), stage(id, 2, [[-1]], []));\nbuild tower T;\n",
+        [
+            "4:33: error[shape-mismatch]: stage 2 character vector must have length 1",
+        ],
+    ),
+    "empty-degree-matrix": (
+        "auto id = identity(A);\ntower T = loop(A, stage(id, 2, [], []));\nbuild tower T;\n",
+        [
+            "3:1: warning[unused-declaration]: 'id' is never used",
+            "4:33: error[syntax-error]: expected '[', found ']'",
+            "5:1: error[unresolved-name]: unresolved name 'T'",
+        ],
+    ),
+    "empty-multiloop-list": (
+        "auto s = identity(A);\ntower T = multiloop(A, []);\nbuild tower T;\n",
+        [
+            "3:1: warning[unused-declaration]: 's' is never used",
+            "4:25: error[syntax-error]: expected the name of a declaration, found ']'",
+            "5:1: error[unresolved-name]: unresolved name 'T'",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_LISTS))
+def test_malformed_lists_keep_their_diagnostics(name):
+    body, want = MALFORMED_LISTS[name]
+    result = parse(LIST_HEAD + body)
+    assert [str(d) for d in result.diagnostics] == want

@@ -6,8 +6,14 @@ import pytest
 
 from loomalg.errors import InvalidGrading, NotAnAutomorphism
 from loomalg.exactnum import CycloField, primitive_root
-from loomalg.findim import direct_sum, matrix_algebra, sl_algebra
-from loomalg.fixtures import conjugation_auto, sl_matrix_auto, swap_sum_fixture
+from loomalg.findim import direct_sum, matrix_algebra, sl_algebra, sl_basis
+from loomalg.fixtures import (
+    conjugation_auto,
+    matrix_inverse,
+    neg_antitranspose,
+    sl_matrix_auto,
+    swap_sum_fixture,
+)
 from loomalg.grading import (
     FiniteOrderAuto,
     ModGrading,
@@ -17,7 +23,14 @@ from loomalg.grading import (
     grading_from_auto,
     validate_grading,
 )
-from loomalg.linalg import identity_matrix, mat_mul, unit_vector
+from loomalg.linalg import (
+    identity_matrix,
+    mat_mul,
+    unit_vector,
+    vec_add,
+    vec_scale,
+    zero_vector,
+)
 
 F2 = CycloField(2)
 F4 = CycloField(4)
@@ -68,11 +81,33 @@ def test_auto_rejects_non_multiplicative_map():
         FiniteOrderAuto(alg, neg)
 
 
-def test_auto_expected_period_must_match():
-    auto, alg = diag_conj_auto()
-    FiniteOrderAuto(alg, auto.matrix, expected_period=2)
-    with pytest.raises(NotAnAutomorphism):
-        FiniteOrderAuto(alg, auto.matrix, expected_period=4)
+@pytest.mark.parametrize("n", [2, 3])
+def test_sl_matrix_auto_realizes_the_map_on_sl_basis(n):
+    # column j of the automorphism holds the sl_basis coordinates of f
+    # applied to basis matrix j, for an inner and an outer automorphism
+    field = F4
+    alg = sl_algebra(n, field)
+    flat, labels = sl_basis(n, field)
+    assert list(labels) == list(alg.labels)
+    # a monomial matrix with root-of-unity entries: conjugation has finite order
+    u = tuple(
+        tuple(field.zeta**r if c == (r + 1) % n else field.zero
+              for c in range(n))
+        for r in range(n)
+    )
+    uinv = matrix_inverse(field, u)
+    maps = (
+        lambda m: mat_mul(mat_mul(u, m), uinv),
+        lambda m: neg_antitranspose(field, m),
+    )
+    for f in maps:
+        auto = sl_matrix_auto(alg, n, f)
+        for j, v in enumerate(flat):
+            img = f(tuple(v[r * n:(r + 1) * n] for r in range(n)))
+            got = zero_vector(field, n * n)
+            for i, w in enumerate(flat):
+                got = vec_add(got, vec_scale(auto.matrix[i][j], w))
+            assert got == tuple(x for row in img for x in row)
 
 
 def test_auto_inverse_matrix():
