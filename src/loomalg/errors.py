@@ -72,7 +72,7 @@ class Undecided(LoomError):
 
 class InvariantViolated(LoomError):
     """An exact computation broke an invariant that its mathematics
-    guarantees (say, a certificate missing from a span that must hold it).
+    guarantees (say, no coordinates for a vector a span must hold).
     This signals a library defect, never a property of the input."""
 
     code = "invariant-violated"
