@@ -352,20 +352,6 @@ def is_perfect(a: StructureAlgebra) -> bool:
     return solver.dim == a.dim
 
 
-def mult_module_closure(a: StructureAlgebra, vectors) -> Subspace:
-    """Smallest subspace containing the vectors and stable under all
-    left and right multiplications (the ideal generated by them)."""
-    solver = SpanSolver(a.field, a.dim)
-    spanning = [v for v in vectors if solver.add(v)]
-    for w in spanning:  # the list grows while it is walked
-        for i in range(a.dim):
-            for m in (a.left_mult_matrix(i), a.right_mult_matrix(i)):
-                u = mat_apply(m, w)
-                if solver.add(u):
-                    spanning.append(u)
-    return Subspace(a.field, a.dim, spanning)
-
-
 def centre(a: StructureAlgebra) -> Subspace:
     """Elements commuting and associating with everything."""
     n = a.dim

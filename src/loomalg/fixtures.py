@@ -156,19 +156,6 @@ def hermitian_tower(ell: int):
     }
 
 
-def hermitian_orbit_count(radius) -> int:
-    """Independent count of the hermitian stabilizer basis on a box.
-
-    Basis: (z1^i1 + (-1)^i2 z1^-i1) z2^i2 with i1 > 0 even, together with
-    z2^i2 for even i2; counted inside the given radius."""
-    r1, r2 = radius
-    count = 0
-    for i1 in range(2, r1 + 1, 2):
-        count += 2 * r2 + 1
-    count += len([i2 for i2 in range(-r2, r2 + 1) if i2 % 2 == 0])
-    return count
-
-
 def swap_sum_fixture():
     """sl2 x sl2 with the factor-swap automorphism and its mod-2 grading."""
     field = CycloField(2)

@@ -51,21 +51,18 @@ class FiniteOrderAuto:
                     raise NotAnAutomorphism(
                         f"does not preserve the product on basis pair ({i}, {j})"
                     )
-        self._powers = [identity_matrix(self.field, n)]
-        power = self.matrix
-        order = None
+        ident = identity_matrix(self.field, n)
+        inverse, power = ident, self.matrix
         for k in range(1, _ORDER_SEARCH_CAP + 1):
-            self._powers.append(power)
-            if power == self._powers[0]:
-                order = k
-                self._powers.pop()
+            if power == ident:
                 break
-            power = mat_mul(power, self.matrix)
-        if order is None:
+            inverse, power = power, mat_mul(power, self.matrix)
+        else:
             raise NotAnAutomorphism(
                 f"no finite order found within {_ORDER_SEARCH_CAP} iterations"
             )
-        self.period = order
+        self.period = k
+        self._inverse = inverse
 
     @classmethod
     def identity(cls, algebra: StructureAlgebra):
@@ -74,14 +71,8 @@ class FiniteOrderAuto:
     def apply(self, vec):
         return mat_apply(self.matrix, vec)
 
-    def power_matrix(self, k: int):
-        return self._powers[k % self.period]
-
-    def apply_power(self, k: int, vec):
-        return mat_apply(self._powers[k % self.period], vec)
-
     def inverse_matrix(self):
-        return self._powers[(self.period - 1) % self.period]
+        return self._inverse
 
     def __repr__(self):
         return f"<FiniteOrderAuto period {self.period} on dim {self.algebra.dim}>"
@@ -111,24 +102,6 @@ class ModGrading:
     def dims(self):
         return tuple(c.dim for c in self.components)
 
-    def homogeneous_decomposition(self, vec):
-        """Split a vector into its graded parts, indexed by degree class."""
-        solver = SpanSolver(self.algebra.field, self.algebra.dim)
-        gens = [(i, b) for i, comp in enumerate(self.components)
-                for b in comp.basis]
-        for _, b in gens:
-            solver.add(b)
-        coords = solver.express(vec)
-        if coords is None:
-            raise InvalidGrading("vector is outside the component sum")
-        parts = {}
-        for (i, b), c in zip(gens, coords):
-            if c:
-                scaled = vec_scale(c, b)
-                cur = parts.get(i)
-                parts[i] = scaled if cur is None else vec_add(cur, scaled)
-        return parts
-
     def __eq__(self, other):
         if not isinstance(other, ModGrading):
             return NotImplemented
@@ -152,7 +125,7 @@ def grading_from_auto(auto: FiniteOrderAuto, zeta: CycloNumber) -> ModGrading:
     m = root_of_unity_order(zeta)
     if m is None:
         raise InvalidGrading("grading root is not a root of unity")
-    if auto.period == 0 or m % auto.period != 0:
+    if m % auto.period != 0:
         raise InvalidGrading(
             f"automorphism period {auto.period} does not divide modulus {m}"
         )

@@ -268,31 +268,6 @@ class Subspace:
     def contains(self, vec) -> bool:
         return vec_is_zero(self.residual(vec))
 
-    def contains_all(self, vectors) -> bool:
-        return all(self.contains(v) for v in vectors)
-
-    def sum_with(self, other: "Subspace") -> "Subspace":
-        return Subspace(self.field, self.ambient, self.basis + other.basis)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        if not self.basis or not other.basis:
-            return Subspace(self.field, self.ambient)
-        # solutions of sum a_i B1_i - sum b_j B2_j = 0 give the common vectors
-        na = len(self.basis)
-        columns = [_sparse(b) for b in self.basis]
-        columns += [{k: -x for k, x in _sparse(b).items()} for b in other.basis]
-        vectors = []
-        for sol in column_kernel(range(len(columns)), columns, self.field):
-            v = zero_vector(self.field, self.ambient)
-            for i, c in sol.items():
-                if i < na:
-                    v = vec_add(v, vec_scale(c, self.basis[i]))
-            vectors.append(v)
-        return Subspace(self.field, self.ambient, vectors)
-
-    def is_subspace_of(self, other: "Subspace") -> bool:
-        return other.contains_all(self.basis)
-
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented

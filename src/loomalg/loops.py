@@ -59,9 +59,6 @@ class DegreeBox:
     def prefix(self) -> "DegreeBox":
         return DegreeBox(self.radius[:-1])
 
-    def doubled(self) -> "DegreeBox":
-        return DegreeBox(tuple(2 * r for r in self.radius))
-
     def halved(self) -> "DegreeBox":
         return DegreeBox(tuple(r // 2 for r in self.radius))
 
@@ -353,18 +350,14 @@ class ToralMonomialAuto:
         if order is None:
             raise NotAnAutomorphism("character root is not a root of unity")
         self.root_order = order
-        m_order = None
         ident = _int_identity(p)
-        power = self.m_matrix if p else ident
-        for k in range(1, _MATRIX_ORDER_CAP + 1):
+        power = self.m_matrix
+        for _ in range(_MATRIX_ORDER_CAP):
             if power == ident:
-                m_order = k
                 break
             power = _int_mat_mul(power, self.m_matrix)
-        if m_order is None:
+        else:
             raise NotAnAutomorphism("degree matrix does not have finite order")
-        self.m_order = m_order
-        self.period = self._compute_period()
 
     @property
     def arity(self) -> int:
@@ -393,79 +386,57 @@ class ToralMonomialAuto:
             support[ndeg] = img if cur is None else vec_add(cur, img)
         return LaurentElement(x.field, x.arity, x.base_dim, support)
 
-    def apply_power(self, k: int, x: LaurentElement) -> LaurentElement:
-        k %= self.period
-        for _ in range(k):
-            x = self.apply(x)
-        return x
-
-    def _compute_period(self) -> int:
-        """Exact order: needs M^k = 1, theta^k = 1, and the accumulated
-        character c^T (1 + M + ... + M^(k-1)) to vanish mod the root order."""
-        p = self.arity
-        bound = self.m_order * self.theta.period * self.root_order
-        ident = _int_identity(p)
-        power = ident
-        acc = tuple(0 for _ in range(p))
-        for k in range(1, bound + 1):
-            acc = tuple(
-                acc[j] + sum(self.c_vector[i] * power[i][j] for i in range(p))
-                for j in range(p)
-            )
-            power = _int_mat_mul(power, self.m_matrix) if p else ident
-            if (
-                power == ident
-                and k % self.theta.period == 0
-                and all(v % self.root_order == 0 for v in acc)
-            ):
-                return k
-        raise NotAnAutomorphism("twist period exceeds its algebraic bound")
-
     def __repr__(self):
-        return f"<ToralMonomialAuto arity {self.arity}, period {self.period}>"
+        return f"<ToralMonomialAuto arity {self.arity}>"
 
 
 class TowerStage:
     __slots__ = ("twist", "modulus", "zeta", "actual_period")
 
     def __init__(self, twist: ToralMonomialAuto, modulus: int,
-                 zeta: CycloNumber, actual_period=None):
+                 zeta: CycloNumber):
         self.twist = twist
         self.modulus = modulus
         self.zeta = zeta
-        self.actual_period = actual_period
+        # set by the tower that adds this stage, once validated
+        self.actual_period = None
 
 
 class LoopTower:
-    """n nested loop stages over a finite-dimensional base.
+    """The loop algebra of its parent tower by the last stage's twist.
 
-    Validation happens once at construction: roots are checked primitive,
-    each twist is checked to stabilize the previous stage and to satisfy
-    sigma^m = id, both on an explicit degree window whose radii are recorded
-    in validation_boxes.  Towers are immutable afterwards.
+    LoopTower(base, stages) is L_n with n = len(stages); its parent is
+    LoopTower(base, stages[:-1]), or None for the base itself (n == 0).
+    Each tower validates only the stage it adds: the root is checked
+    primitive, and the twist is checked to stabilize the parent and to
+    satisfy sigma^m = id, both on the parent's default window, whose radii
+    extend the parent's validation_boxes.  Towers are immutable afterwards.
     """
 
     def __init__(self, base: StructureAlgebra, stages):
         self.base = base
         self.field = base.field
-        self.stages = tuple(
-            s if isinstance(s, TowerStage) else TowerStage(*s) for s in stages
-        )
+        self.stages = tuple(stages)
         self.n = len(self.stages)
-        self._prefix_cache = {}
         self._window_cache = {}
         self._eigen_cache = {}
         self._proj_memo = {}
         # stabilizer_in_box results by box radius, kept like the windows
         self._stabilizer_cache = {}
-        self.validation_boxes = []
-        for p in range(1, self.n + 1):
-            self._validate_stage(p)
+        if self.n == 0:
+            self.parent = None
+            self.validation_boxes = []
+        else:
+            self.parent = LoopTower(base, self.stages[:-1])
+            self.validation_boxes = [*self.parent.validation_boxes,
+                                     self._validate_last_stage()]
 
     # -- construction-time checks ------------------------------------------
 
-    def _validate_stage(self, p: int):
-        stage = self.stages[p - 1]
+    def _validate_last_stage(self):
+        """Check the stage this tower adds; return the window radii used."""
+        p = self.n
+        stage = self.stages[-1]
         twist, m, zeta = stage.twist, stage.modulus, stage.zeta
         if m < 1:
             raise InvalidGrading(f"stage {p} modulus must be positive")
@@ -482,27 +453,25 @@ class LoopTower:
             raise InvalidGrading(
                 f"stage {p} root has order {order}, expected {m}"
             )
-        box = DegreeBox(tuple(2 * self.stages[k].modulus for k in range(p - 1)))
-        prev = self.prefix(p - 1)
-        basis = prev.basis_in_box(box)
-        for b in basis:
-            if not tower_membership(prev, twist.apply(b)):
-                raise InvalidGrading(
-                    f"stage {p} twist does not stabilize the previous stage "
-                    f"(checked on box {box.radius})"
-                )
-        actual = None
-        for k in sorted(d for d in range(1, m + 1) if m % d == 0):
-            if all(twist.apply_power(k, b) == b for b in basis):
-                actual = k
-                break
-        if actual is None:
+        box = self.parent.default_box()
+        basis = self.parent.basis_in_box(box)
+        images = [twist.apply(b) for b in basis]
+        if not all(tower_membership(self.parent, x) for x in images):
             raise InvalidGrading(
-                f"stage {p} twist does not satisfy sigma^{m} = id "
+                f"stage {p} twist does not stabilize the previous stage "
                 f"(checked on box {box.radius})"
             )
-        stage.actual_period = actual
-        self.validation_boxes.append(box.radius)
+        # images holds sigma^k of the window: the least divisor k of m
+        # that fixes it is the stage's actual period
+        for k in range(1, m + 1):
+            if m % k == 0 and images == basis:
+                stage.actual_period = k
+                return box.radius
+            images = [twist.apply(x) for x in images]
+        raise InvalidGrading(
+            f"stage {p} twist does not satisfy sigma^{m} = id "
+            f"(checked on box {box.radius})"
+        )
 
     # -- structure ---------------------------------------------------------
 
@@ -512,27 +481,6 @@ class LoopTower:
     def index_classes(self):
         """The canonical-form index set: the product of range(m_p)."""
         return list(iter_product(*(range(s.modulus) for s in self.stages)))
-
-    def prefix(self, p: int) -> "LoopTower":
-        if p == self.n:
-            return self
-        if p > self.n:
-            raise DimensionMismatch("prefix longer than the tower")
-        got = self._prefix_cache.get(p)
-        if got is None:
-            got = LoopTower.__new__(LoopTower)
-            got.base = self.base
-            got.field = self.field
-            got.stages = self.stages[:p]
-            got.n = p
-            got._prefix_cache = self._prefix_cache
-            got._window_cache = {}
-            got._eigen_cache = {}
-            got._proj_memo = {}
-            got._stabilizer_cache = {}
-            got.validation_boxes = self.validation_boxes[:p]
-            self._prefix_cache[p] = got
-        return got
 
     def default_box(self) -> DegreeBox:
         return DegreeBox(tuple(2 * s.modulus for s in self.stages))
@@ -560,8 +508,7 @@ class LoopTower:
             self._window_cache[box.radius] = out
             return out
         stage = self.stages[-1]
-        prev = self.prefix(self.n - 1)
-        window = prev.basis_in_box(box.prefix())
+        window = self.parent.basis_in_box(box.prefix())
         eigen = self._eigenspaces(box.prefix(), window, stage)
         out = []
         r_last = box.radius[-1]
@@ -618,10 +565,9 @@ def tower_membership(tower: LoopTower, x: LaurentElement) -> bool:
     if tower.n == 0:
         return True
     stage = tower.stages[-1]
-    prev = tower.prefix(tower.n - 1)
     for j in x.last_degrees():
         piece = x.slice_last(j)
-        if not tower_membership(prev, piece):
+        if not tower_membership(tower.parent, piece):
             return False
         if stage.twist.apply(piece) != piece.scale(
             stage.zeta ** (j % stage.modulus)
@@ -673,11 +619,10 @@ def member_projection(tower: LoopTower, y: LaurentElement) -> LaurentElement:
 def _project_once(tower: LoopTower, y: LaurentElement) -> LaurentElement:
     stage = tower.stages[-1]
     twist, m, zeta = stage.twist, stage.modulus, stage.zeta
-    prev = tower.prefix(tower.n - 1)
     inv_m = tower.field.from_rational(Fraction(1, m))
     out = LaurentElement.zero(tower.field, tower.n, tower.base.dim)
     for j in y.last_degrees():
-        piece = member_projection(prev, y.slice_last(j))
+        piece = member_projection(tower.parent, y.slice_last(j))
         if piece.is_zero():
             continue
         comp = LaurentElement.zero(tower.field, tower.n - 1, tower.base.dim)
@@ -759,7 +704,9 @@ def free_basis_check(tower: LoopTower, box: DegreeBox):
     For a unital associative base, every window member must equal
     sum_i x_i . (1 (x) z^i) with x_i the canonical pieces, which are unique
     by construction (see canonical_form); the rank is the product of the
-    stage moduli."""
+    stage moduli.  The unit is two-sided (StructureAlgebra checks it), so
+    x_i . (1 (x) z^i) is the shift z^i . x_i and the sum is
+    canonical_reconstruct of the pieces."""
     base = tower.base
     if base.unit is None:
         raise HypothesisNotMet("free module check requires a unital base")
@@ -770,14 +717,7 @@ def free_basis_check(tower: LoopTower, box: DegreeBox):
         rank *= s.modulus
     checked = 0
     for y in tower.basis_in_box(box):
-        family = canonical_form(tower, y)
-        acc = LaurentElement.zero(tower.field, tower.n, base.dim)
-        for idx, x in family.items():
-            section = LaurentElement.monomial(
-                tower.field, tower.n, base.dim, idx, base.unit
-            )
-            acc = acc.add(laurent_multiply(base, x, section))
-        if acc != y:
+        if canonical_reconstruct(tower, canonical_form(tower, y)) != y:
             return {"ok": False, "rank": rank, "checked": checked}
         checked += 1
     return {

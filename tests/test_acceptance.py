@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import restricted_stabilizer_span
+from helpers import hermitian_orbit_count, restricted_stabilizer_span
 from loomalg.archetypes import associative_type, lie_split_type, tower_type
 from loomalg.centroid_loop import (
     kind_classify,
@@ -33,7 +33,6 @@ from loomalg.errors import NotSplit
 from loomalg.findim import centroid_algebra, matrix_algebra, sl_algebra
 from loomalg.fixtures import (
     fixture_registry,
-    hermitian_orbit_count,
     quaternion_algebra,
     swap_sum_fixture,
 )

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    hermitian_orbit_count,
     reference_centroid_action,
     restricted_stabilizer_span,
     zero_algebra,
@@ -32,7 +33,6 @@ from loomalg.errors import HypothesisNotMet, LoomError
 from loomalg.exactnum import CycloField
 from loomalg.findim import LinearMap, centroid_algebra
 from loomalg.fixtures import (
-    hermitian_orbit_count,
     hermitian_tower,
     quantum_torus_tower,
     swap_sum_fixture,
@@ -401,7 +401,7 @@ def test_kind_dichotomy_on_synthetics():
 def test_kind_requires_two_steps():
     qt = quantum_torus_tower(2)
     with pytest.raises(HypothesisNotMet):
-        kind_classify(qt["tower"].prefix(1))
+        kind_classify(qt["tower"].parent)
 
 
 def test_kind_requires_central_simple_base():

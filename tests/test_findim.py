@@ -7,12 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import zero_algebra
+from helpers import mult_module_closure, zero_algebra
 from loomalg.errors import DimensionMismatch, LoomError
 from loomalg.exactnum import CycloField
 from loomalg.findim import (
     LinearMap,
-    StructureAlgebra,
     centre,
     centroid,
     centroid_algebra,
@@ -27,7 +26,6 @@ from loomalg.findim import (
     is_pfgc_findim,
     is_simple,
     matrix_algebra,
-    mult_module_closure,
     property_report,
     satisfies_jacobi,
     sl_algebra,

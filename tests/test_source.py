@@ -66,6 +66,38 @@ def test_every_export_is_used():
     assert unused == []
 
 
+def _unused_imports(path) -> list:
+    """Names a module imports but never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{path.name}:{line} {name}"
+        for name, line in imported.items() if name not in read
+    ]
+
+
+def test_no_unused_imports():
+    # the package __init__ imports only to re-export
+    tests = pathlib.Path(__file__).resolve().parent
+    paths = [
+        *(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+        *tests.glob("*.py"),
+    ]
+    found = [entry for path in sorted(paths) for entry in _unused_imports(path)]
+    assert found == []
+
+
 _TRACER_ROUND_TRIP = """
 import sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
