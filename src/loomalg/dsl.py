@@ -50,7 +50,7 @@ _RESERVED = frozenset((
 _PUNCT = frozenset(";=()[],+-*^/")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     line: int
     col: int
@@ -61,7 +61,7 @@ class Span:
         return f"{self.line}:{self.col}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagnostic:
     severity: str
     span: Span
@@ -80,7 +80,7 @@ class Diagnostic:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     kind: str  # name | int | punct | eof
     text: str
@@ -158,27 +158,28 @@ def _lex(source: str):
 # syntax tree
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scalar:
-    """Exact literal: sign * (num/den) * zeta(zeta_order)^zeta_power."""
+    """Exact literal:
+    sign * (numerator/denominator) * zeta(zeta_order)^zeta_power."""
     negative: bool = False
-    num: int = 1
-    den: int = 1
+    numerator: int = 1
+    denominator: int = 1
     zeta_order: int | None = None
     zeta_power: int = 1
 
 
-SCALAR_ZERO = Scalar(num=0)
+SCALAR_ZERO = Scalar(numerator=0)
 SCALAR_ONE = Scalar()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldDecl:
     order: int
     span: Span = dc_field(compare=False, default=None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlgebraDecl:
     name: str
     kind: str  # mat | sl | unit | quaternion
@@ -203,7 +204,7 @@ class AlgebraDecl:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AutoDecl:
     name: str
     kind: str  # conj | matrix | identity
@@ -212,7 +213,7 @@ class AutoDecl:
     span: Span = dc_field(compare=False, default=None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GradingDecl:
     name: str
     auto: str
@@ -220,7 +221,7 @@ class GradingDecl:
     span: Span = dc_field(compare=False, default=None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StageExpr:
     auto: str
     modulus: int
@@ -230,7 +231,7 @@ class StageExpr:
     span: Span = dc_field(compare=False, default=None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TowerDecl:
     name: str
     kind: str  # multiloop | loop
@@ -246,14 +247,14 @@ class TowerDecl:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReportOpt:
     key: str  # box | seed
     values: tuple
     span: Span = dc_field(compare=False, default=None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElementTerm:
     sign: int  # +1 or -1, the joiner sign
     coeff: Scalar | None  # None means coefficient 1 written implicitly
@@ -262,7 +263,7 @@ class ElementTerm:
     span: Span = dc_field(compare=False, default=None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Command:
     op: str  # check-grading | build-tower | centroid | kind | type
              # | untwist | canonical-form
@@ -976,13 +977,14 @@ def parse(source: str) -> ParseResult:
 
 def scalar_str(s: Scalar) -> str:
     sign = "-" if s.negative else ""
-    rat = str(s.num) if s.den == 1 else f"{s.num}/{s.den}"
+    rat = (str(s.numerator) if s.denominator == 1
+           else f"{s.numerator}/{s.denominator}")
     if s.zeta_order is None:
         return sign + rat
     zpart = f"zeta({s.zeta_order})"
     if s.zeta_power != 1:
         zpart += f"^{s.zeta_power}"
-    if (s.num, s.den) == (1, 1):
+    if (s.numerator, s.denominator) == (1, 1):
         return sign + zpart
     return f"{sign}{rat} * {zpart}"
 

@@ -2,9 +2,11 @@
 
 The field of order N is Q(zeta_N), stored on the power basis
 1, z, z^2, ..., z^(phi(N)-1) with z a fixed primitive N-th root of unity.
-Elements keep a full coefficient tuple of arbitrary-precision rationals,
-reduced eagerly modulo the N-th cyclotomic polynomial, so equality and
-hashing are componentwise and no floating point ever appears.
+An element stores arbitrary-precision integer numerators on that basis
+over one shared positive denominator, reduced eagerly modulo the N-th
+cyclotomic polynomial and kept canonical (gcd(den, *num) == 1), so
+equality and hashing are componentwise, each operation takes at most one
+gcd, and no floating point ever appears.
 
 A session works inside a single field; roots of smaller order m (for m
 dividing N) are obtained with :func:`primitive_root`, and elements of a
@@ -14,13 +16,12 @@ smaller field embed into a larger one with :func:`lift`.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add as _add, neg as _neg, sub as _sub
 
 from .errors import FieldMismatch, InvariantViolated, RootOrderUnavailable
 
 Rational = Fraction
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 _cyclo_cache: dict[int, tuple[int, ...]] = {}
@@ -66,7 +67,8 @@ class CycloField:
 
     _cache: dict[int, "CycloField"] = {}
 
-    __slots__ = ("order", "degree", "modulus", "_red", "zero", "one", "zeta")
+    __slots__ = ("order", "degree", "modulus", "_red", "_fold", "_conj",
+                 "_tail", "zero", "one", "zeta")
 
     def __new__(cls, order: int):
         inst = cls._cache.get(order)
@@ -79,18 +81,28 @@ class CycloField:
         inst.modulus = cyclotomic_polynomial(order)
         phi = len(inst.modulus) - 1
         inst.degree = phi
+        inst._tail = (0,) * (phi - 1)
         # reduction rows: z^k mod Phi_N for k >= phi, grown on demand
         inst._red = [tuple(-c for c in inst.modulus[:phi])]
-        inst.zero = CycloNumber(inst, (_ZERO,) * phi)
-        inst.one = CycloNumber(inst, (_ONE,) + (_ZERO,) * (phi - 1))
+        # the rows a product of two reduced elements needs, as nonzero
+        # (index, coefficient) pairs, for degrees phi .. 2 phi - 2
+        inst._fold = tuple(
+            tuple((i, r) for i, r in enumerate(inst._power_row(k)) if r)
+            for k in range(phi, 2 * phi - 1)
+        )
+        # for each unit k > 1 mod N, the images z^(k i) of the power basis
+        # under the Galois automorphism z -> z^k
+        inst._conj = tuple(
+            tuple(inst._power(k * i % order) for i in range(phi))
+            for k in range(2, order) if gcd(k, order) == 1
+        )
+        inst.zero = CycloNumber(inst, (0,) * phi, 1)
+        inst.one = CycloNumber(inst, (1,) + inst._tail, 1)
         if phi == 1:
             # zeta_1 = 1, zeta_2 = -1 live on the 1-dimensional basis
-            val = _ONE if order == 1 else -_ONE
-            inst.zeta = CycloNumber(inst, (val,))
+            inst.zeta = CycloNumber(inst, (1 if order == 1 else -1,), 1)
         else:
-            inst.zeta = CycloNumber(
-                inst, (_ZERO, _ONE) + (_ZERO,) * (phi - 2)
-            )
+            inst.zeta = CycloNumber(inst, (0, 1) + inst._tail[1:], 1)
         cls._cache[order] = inst
         return inst
 
@@ -98,17 +110,21 @@ class CycloField:
         return f"CycloField({self.order})"
 
     def from_rational(self, q) -> "CycloNumber":
+        if isinstance(q, int):
+            return CycloNumber(self, (int(q),) + self._tail, 1)
         q = Fraction(q)
-        return CycloNumber(self, (q,) + (_ZERO,) * (self.degree - 1))
+        return CycloNumber(self, (q.numerator,) + self._tail, q.denominator)
 
     def from_coeffs(self, coeffs) -> "CycloNumber":
         """Build an element from power-basis coefficients of any length."""
         cs = [Fraction(c) for c in coeffs]
-        if len(cs) > self.degree:
-            cs = self._reduce(cs)
+        den = lcm(*(c.denominator for c in cs)) if cs else 1
+        num = [c.numerator * (den // c.denominator) for c in cs]
+        if len(num) > self.degree:
+            num = self._reduce(num)
         else:
-            cs.extend([_ZERO] * (self.degree - len(cs)))
-        return CycloNumber(self, tuple(cs))
+            num.extend([0] * (self.degree - len(num)))
+        return _canonical(self, tuple(num), den)
 
     def _power_row(self, k):
         # z^k mod Phi_N as a length-phi integer row, for k >= degree
@@ -123,9 +139,16 @@ class CycloField:
             self._red.append(tuple(shifted))
         return self._red[idx]
 
+    def _power(self, e):
+        # z^e as a length-phi integer row
+        if e < self.degree:
+            return tuple(int(i == e) for i in range(self.degree))
+        return self._power_row(e)
+
     def _reduce(self, cs):
+        # integer coefficients of any length, folded onto the power basis
         phi = self.degree
-        out = cs[:phi] + [_ZERO] * (phi - min(phi, len(cs)))
+        out = cs[:phi]
         for k in range(phi, len(cs)):
             c = cs[k]
             if c:
@@ -136,14 +159,37 @@ class CycloField:
         return out
 
 
+def _canonical(field, num, den):
+    """num/den, for den >= 1, with the common factor divided out."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(x // g for x in num)
+            den //= g
+    return CycloNumber(field, num, den)
+
+
 class CycloNumber:
-    """An element of a fixed cyclotomic field, always kept reduced."""
+    """An element of a fixed cyclotomic field, always kept reduced.
 
-    __slots__ = ("field", "coeffs")
+    The value is sum(num[k] z^k) / den with integer numerators, den >= 1
+    and gcd(den, *num) == 1, so each value has exactly one layout.  Only
+    this module builds or reads that layout; `coeffs` gives the rational
+    power-basis coefficients.
+    """
 
-    def __init__(self, field: CycloField, coeffs: tuple):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: CycloField, num: tuple, den: int):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple:
+        """Power-basis coefficients as a tuple of Fractions."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.num)
 
     def _coerce(self, other):
         if isinstance(other, CycloNumber):
@@ -157,23 +203,33 @@ class CycloNumber:
             return self.field.from_rational(other)
         return None
 
+    def _sum(self, o, op):
+        # self op o for op in (add, sub), both with the same field
+        a, b = self.den, o.den
+        if a == b:
+            num = tuple(map(op, self.num, o.num))
+            if a == 1:
+                return CycloNumber(self.field, num, 1)
+        else:
+            num = tuple(op(x * b, y * a) for x, y in zip(self.num, o.num))
+            a *= b
+        return _canonical(self.field, num, a)
+
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CycloNumber(
-            self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs))
-        )
+        if other.__class__ is not CycloNumber or other.field is not self.field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._sum(other, _add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CycloNumber(
-            self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs))
-        )
+        if other.__class__ is not CycloNumber or other.field is not self.field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._sum(other, _sub)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -182,23 +238,36 @@ class CycloNumber:
         return o - self
 
     def __neg__(self):
-        return CycloNumber(self.field, tuple(-a for a in self.coeffs))
+        return CycloNumber(self.field, tuple(map(_neg, self.num)), self.den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        phi = self.field.degree
-        if phi == 1:
-            return CycloNumber(self.field, (a[0] * b[0],))
-        conv = [_ZERO] * (2 * phi - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        return CycloNumber(self.field, tuple(self.field._reduce(conv)))
+        if other.__class__ is not CycloNumber or other.field is not self.field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        field = self.field
+        a, b = self.num, other.num
+        fold = field._fold
+        if not fold:
+            num = (a[0] * b[0],)
+        else:
+            phi = field.degree
+            conv = [0] * (2 * phi - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        if y:
+                            conv[j] += x * y
+            for k, pairs in enumerate(fold, phi):
+                c = conv[k]
+                if c:
+                    for i, r in pairs:
+                        conv[i] += c * r
+            num = tuple(conv[:phi])
+        den = self.den * other.den
+        if den == 1:
+            return CycloNumber(field, num, 1)
+        return _canonical(field, num, den)
 
     __rmul__ = __mul__
 
@@ -231,91 +300,61 @@ class CycloNumber:
     def inverse(self) -> "CycloNumber":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        phi = self.field.degree
-        if phi == 1:
-            return CycloNumber(self.field, (1 / self.coeffs[0],))
-        # extended euclid against the cyclotomic modulus in Q[x]
-        mod = [Fraction(c) for c in self.field.modulus]
-        r0, r1 = mod, _trim(list(self.coeffs))
-        t0, t1 = [], [_ONE]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
-        lead = r1[0]
-        inv = [c / lead for c in t1]
-        return self.field.from_coeffs(inv)
+        field = self.field
+        if self.is_rational():
+            n = self.num[0]
+            return CycloNumber(
+                field, (self.den if n > 0 else -self.den,) + field._tail, abs(n)
+            )
+        # num times the product P of its other Galois conjugates is the
+        # norm n, a nonzero integer, so (num / den)^-1 = den * P / n
+        num = self.num
+        prod = field.one
+        for images in field._conj:
+            conj = [0] * field.degree
+            for x, row in zip(num, images):
+                if x:
+                    for t, r in enumerate(row):
+                        conj[t] += x * r
+            prod = prod * CycloNumber(field, tuple(conj), 1)
+        norm = (prod * CycloNumber(field, num, 1)).num[0]
+        scale = self.den if norm > 0 else -self.den
+        return _canonical(field, tuple(x * scale for x in prod.num), abs(norm))
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
-        if not isinstance(other, CycloNumber):
-            return NotImplemented
-        return self.field is other.field and self.coeffs == other.coeffs
+        if isinstance(other, CycloNumber):
+            return (self.field is other.field and self.den == other.den
+                    and self.num == other.num)
+        if isinstance(other, int):
+            return (self.den == 1 and self.num[0] == other
+                    and self.is_rational())
+        if isinstance(other, Fraction):
+            return (self.den == other.denominator
+                    and self.num[0] == other.numerator and self.is_rational())
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.field.order, self.coeffs))
+        return hash((self.field.order, self.num, self.den))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __repr__(self):
         return f"<{self} in Q(zeta_{self.field.order})>"
 
     def __str__(self):
         return cyclo_str(self)
-
-
-def _trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_divmod(a, b):
-    a = a[:]
-    db, lead = len(b) - 1, b[-1]
-    q = [_ZERO] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        k = len(a) - 1 - db
-        c = a[-1] / lead
-        q[k] = c
-        for i in range(len(b)):
-            a[i + k] -= c * b[i]
-        _trim(a)
-    return q, a
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _trim(out)
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [_ZERO] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _trim(out)
 
 
 def primitive_root(m: int, field: CycloField) -> CycloNumber:

@@ -44,26 +44,28 @@ def vec_is_zero(a) -> bool:
 
 def mat_apply(m, v):
     """Matrix times column vector; column j of m is the image of basis vector j."""
+    support = [(j, x) for j, x in enumerate(v) if x]
     return tuple(
-        sum((row[j] * v[j] for j in range(len(v)) if v[j]), start=row[0].field.zero)
+        sum((row[j] * x for j, x in support), start=row[0].field.zero)
         for row in m
     )
 
 
 def mat_mul(a, b):
-    n, k, p = len(a), len(b), len(b[0]) if b else 0
+    """Matrix product; each entry of either factor is tested for zero once,
+    and only products of two nonzero entries are formed."""
+    p = len(b[0]) if b else 0
     zero = a[0][0].field.zero
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = []
-    for i in range(n):
-        row = []
-        ai = a[i]
-        for j in range(p):
-            acc = zero
-            for t in range(k):
-                if ai[t] and b[t][j]:
-                    acc = acc + ai[t] * b[t][j]
-            row.append(acc)
-        out.append(tuple(row))
+    for ai in a:
+        acc = [None] * p
+        for x, brow in zip(ai, b_rows):
+            if x:
+                for j, y in brow:
+                    cur = acc[j]
+                    acc[j] = x * y if cur is None else cur + x * y
+        out.append(tuple(zero if v is None else v for v in acc))
     return tuple(out)
 
 

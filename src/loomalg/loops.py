@@ -391,15 +391,13 @@ class ToralMonomialAuto:
 
 
 class TowerStage:
-    __slots__ = ("twist", "modulus", "zeta", "actual_period")
+    __slots__ = ("twist", "modulus", "zeta")
 
     def __init__(self, twist: ToralMonomialAuto, modulus: int,
                  zeta: CycloNumber):
         self.twist = twist
         self.modulus = modulus
         self.zeta = zeta
-        # set by the tower that adds this stage, once validated
-        self.actual_period = None
 
 
 class LoopTower:
@@ -410,7 +408,10 @@ class LoopTower:
     Each tower validates only the stage it adds: the root is checked
     primitive, and the twist is checked to stabilize the parent and to
     satisfy sigma^m = id, both on the parent's default window, whose radii
-    extend the parent's validation_boxes.  Towers are immutable afterwards.
+    extend the parent's validation_boxes; the least k with sigma^k = id
+    there extends the parent's actual_periods.  Stages may be shared
+    between towers, so nothing is recorded on them.  Towers are immutable
+    afterwards.
     """
 
     def __init__(self, base: StructureAlgebra, stages):
@@ -426,15 +427,18 @@ class LoopTower:
         if self.n == 0:
             self.parent = None
             self.validation_boxes = []
+            self.actual_periods = ()
         else:
             self.parent = LoopTower(base, self.stages[:-1])
-            self.validation_boxes = [*self.parent.validation_boxes,
-                                     self._validate_last_stage()]
+            radius, period = self._validate_last_stage()
+            self.validation_boxes = [*self.parent.validation_boxes, radius]
+            self.actual_periods = (*self.parent.actual_periods, period)
 
     # -- construction-time checks ------------------------------------------
 
     def _validate_last_stage(self):
-        """Check the stage this tower adds; return the window radii used."""
+        """Check the stage this tower adds; return the window radii used
+        and the stage's actual period."""
         p = self.n
         stage = self.stages[-1]
         twist, m, zeta = stage.twist, stage.modulus, stage.zeta
@@ -465,8 +469,7 @@ class LoopTower:
         # that fixes it is the stage's actual period
         for k in range(1, m + 1):
             if m % k == 0 and images == basis:
-                stage.actual_period = k
-                return box.radius
+                return box.radius, k
             images = [twist.apply(x) for x in images]
         raise InvalidGrading(
             f"stage {p} twist does not satisfy sigma^{m} = id "

@@ -130,32 +130,31 @@ def squarefree_decomposition(p):
 
 
 _x, _y = sympy.symbols("_loom_x _loom_y")
+_QQ = sympy.QQ
+
+# The bridge builds sympy Polys straight from coefficients: arithmetic on
+# sympy expressions would load sympy's tensor and combinatorics modules
+# (Add.flatten imports them), about 3 MB for every process that factors.
 
 
-def _to_sympy_rational_poly(p):
-    expr = 0
-    for i, c in enumerate(p):
-        q = c.as_rational()
-        if q:
-            expr += sympy.Rational(q.numerator, q.denominator) * _x**i
-    return expr
+def _qq(q):
+    return _QQ(q.numerator, q.denominator)
 
 
 def _from_sympy_factor(poly, field: CycloField):
-    coeffs = list(reversed(poly.all_coeffs()))
     out = []
-    for c in coeffs:
+    for c in reversed(poly.all_coeffs()):
         q = sympy.Rational(c)
         out.append(field.from_rational(Rational(int(q.p), int(q.q))))
     return ptrim(out)
 
 
 def _factor_rational(p, field: CycloField):
-    expr = _to_sympy_rational_poly(p)
-    _, factors = sympy.factor_list(sympy.Poly(expr, _x, domain="QQ"))
+    rep = [_qq(c.as_rational()) for c in reversed(p)]
+    _, factors = sympy.Poly.from_list(rep, _x, domain=_QQ).factor_list()
     out = []
     for fac, mult in factors:
-        out.append((pmonic(_from_sympy_factor(sympy.Poly(fac, _x), field)), mult))
+        out.append((pmonic(_from_sympy_factor(fac, field)), mult))
     out.sort(key=lambda fm: (pdeg(fm[0]), _poly_sort_key(fm[0])))
     return out
 
@@ -164,20 +163,20 @@ def _poly_sort_key(p):
     return tuple(c.coeffs for c in p)
 
 
-def _cyclo_to_sympy(c: CycloNumber):
-    expr = 0
-    for k, q in enumerate(c.coeffs):
-        if q:
-            expr += sympy.Rational(q.numerator, q.denominator) * _y**k
-    return expr
-
-
 def _norm_to_rational(g, field: CycloField):
     """Resultant over the cyclotomic modulus: the field norm of g, in Q[x]."""
-    phi_expr = sum(int(c) * _y**k for k, c in enumerate(field.modulus))
-    g_expr = sum(_cyclo_to_sympy(c) * _x**i for i, c in enumerate(g))
-    res = sympy.resultant(phi_expr, g_expr, _y)
-    return sympy.Poly(res, _x, domain="QQ")
+    # bivariate Polys in (_y, _x); the resultant eliminates _y
+    phi = sympy.Poly.from_dict(
+        {(k, 0): _QQ(c) for k, c in enumerate(field.modulus) if c},
+        _y, _x, domain=_QQ,
+    )
+    terms = {
+        (k, i): _qq(q)
+        for i, c in enumerate(g)
+        for k, q in enumerate(c.coeffs)
+        if q
+    }
+    return phi.resultant(sympy.Poly.from_dict(terms, _y, _x, domain=_QQ))
 
 
 def _factor_squarefree(p, field: CycloField):
@@ -191,18 +190,13 @@ def _factor_squarefree(p, field: CycloField):
         shift = field.from_rational(-s) * zeta
         g = pshift(p, shift)
         norm = _norm_to_rational(g, field)
-        if sympy.degree(sympy.gcd(norm, norm.diff(_x)), _x) > 0:
+        if norm.gcd(norm.diff(_x)).degree() > 0:
             continue
-        _, rfactors = sympy.factor_list(norm)
+        _, rfactors = norm.factor_list()
         back = field.from_rational(s) * zeta
         out = []
         for fac, _mult in rfactors:
-            hp = [
-                field.from_rational(Rational(int(sympy.Rational(c).p),
-                                             int(sympy.Rational(c).q)))
-                for c in reversed(sympy.Poly(fac, _x).all_coeffs())
-            ]
-            cand = pgcd(g, hp)
+            cand = pgcd(g, _from_sympy_factor(fac, field))
             if pdeg(cand) >= 1:
                 out.append(pmonic(pshift(cand, back)))
         total = [field.one]

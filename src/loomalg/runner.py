@@ -96,7 +96,7 @@ class _RunContext:
 
     def scalar_value(self, s: Scalar):
         field = self.field
-        val = field.from_rational(Fraction(s.num, s.den))
+        val = field.from_rational(Fraction(s.numerator, s.denominator))
         if s.zeta_order is not None:
             order = field.order
             if order % s.zeta_order:
@@ -260,7 +260,7 @@ def _run_build_tower(ctx: _RunContext, cmd: Command) -> dict:
         "tower": cmd.target,
         "arity": tower.n,
         "moduli": list(tower.moduli()),
-        "actual_periods": [s.actual_period for s in tower.stages],
+        "actual_periods": list(tower.actual_periods),
         "base_dim": tower.base.dim,
         "validated_boxes": [list(b) for b in tower.validation_boxes],
         "flags": {

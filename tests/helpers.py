@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from loomalg.centroid_loop import stabilizer_in_box, window_span
 from loomalg.errors import DimensionMismatch
 from loomalg.findim import StructureAlgebra
@@ -137,3 +139,135 @@ def restricted_stabilizer_span(tower, big_radius, small_box: DegreeBox,
         e = element_from_box_coordinates(field, r, big_box, vec)
         small_vecs.append(box_coordinates(e, small_box))
     return Subspace(field, small_box.volume() * r, small_vecs)
+
+
+class FractionCyclo:
+    """Oracle for exactnum.CycloNumber: an element of Q(zeta_N) as a tuple
+    of Fraction power-basis coefficients, with one Fraction operation per
+    coefficient and reduction by long division by the cyclotomic
+    polynomial."""
+
+    def __init__(self, field, coeffs):
+        self.field = field
+        cs = [Fraction(c) for c in coeffs]
+        modulus, phi = field.modulus, field.degree
+        # the modulus is monic: clear the top coefficient until phi remain
+        for k in range(len(cs) - 1, phi - 1, -1):
+            c = cs[k]
+            if c:
+                for i, m in enumerate(modulus):
+                    cs[k - phi + i] -= c * m
+        cs = cs[:phi]
+        self.coeffs = tuple(cs + [Fraction(0)] * (phi - len(cs)))
+
+    @classmethod
+    def of(cls, a):
+        return cls(a.field, a.coeffs)
+
+    def __add__(self, other):
+        return FractionCyclo(
+            self.field, [a + b for a, b in zip(self.coeffs, other.coeffs)]
+        )
+
+    def __sub__(self, other):
+        return FractionCyclo(
+            self.field, [a - b for a, b in zip(self.coeffs, other.coeffs)]
+        )
+
+    def __neg__(self):
+        return FractionCyclo(self.field, [-a for a in self.coeffs])
+
+    def __mul__(self, other):
+        a, b = self.coeffs, other.coeffs
+        conv = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                conv[i + j] += x * y
+        return FractionCyclo(self.field, conv)
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** (-n)
+        out = FractionCyclo(self.field, [1])
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        return self.field is other.field and self.coeffs == other.coeffs
+
+    def inverse(self):
+        """Extended Euclid against the cyclotomic modulus in Q[x]."""
+        if not any(self.coeffs):
+            raise ZeroDivisionError("inverse of zero")
+        r0 = [Fraction(c) for c in self.field.modulus]
+        r1 = _trim(list(self.coeffs))
+        t0, t1 = [], [Fraction(1)]
+        while len(r1) > 1:
+            q, r = _poly_divmod(r0, r1)
+            r0, r1 = r1, r
+            t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
+        return FractionCyclo(self.field, [c / r1[0] for c in t1])
+
+    def __str__(self):
+        parts = []
+        for k, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            rat = (str(c.numerator) if c.denominator == 1
+                   else f"{c.numerator}/{c.denominator}")
+            if k == 0:
+                parts.append(rat)
+            else:
+                stem = "z" if k == 1 else f"z^{k}"
+                parts.append(stem if c == 1 else f"{rat}*{stem}")
+        return " + ".join(parts) if parts else "0"
+
+
+def _trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_divmod(a, b):
+    a = a[:]
+    db = len(b) - 1
+    q = [Fraction(0)] * max(0, len(a) - db)
+    while a and len(a) - 1 >= db:
+        k = len(a) - 1 - db
+        c = a[-1] / b[-1]
+        q[k] = c
+        for i in range(len(b)):
+            a[i + k] -= c * b[i]
+        _trim(a)
+    return q, a
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _poly_sub(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] -= c
+    return _trim(out)
+
+
+def naive_mat_mul(a, b):
+    """Oracle for linalg.mat_mul: the triple loop, every product formed."""
+    zero = a[0][0].field.zero
+    return tuple(
+        tuple(
+            sum((a[i][t] * b[t][j] for t in range(len(b))), start=zero)
+            for j in range(len(b[0]))
+        )
+        for i in range(len(a))
+    )

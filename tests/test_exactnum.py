@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -20,6 +21,8 @@ from loomalg.exactnum import (
     rational_str,
     root_of_unity_order,
 )
+
+from helpers import FractionCyclo
 
 F1 = CycloField(1)
 F4 = CycloField(4)
@@ -145,6 +148,62 @@ def test_zero_tests_match_componentwise_definitions(sample):
         assert v.is_rational() is all(c == 0 for c in v.coeffs[1:])
     for v in zero_by_construction:
         assert v.is_zero() and not v and v.is_rational()
+
+
+@st.composite
+def small_field_pairs(draw):
+    field = CycloField(draw(st.integers(min_value=1, max_value=12)))
+    a, b = (
+        field.from_coeffs(draw(st.lists(_sparse_rationals,
+                                        min_size=field.degree,
+                                        max_size=field.degree)))
+        for _ in range(2)
+    )
+    q = draw(_sparse_rationals)
+    k = draw(st.integers(min_value=-4, max_value=4))
+    return field, a, b, q, k
+
+
+def assert_canonical(v):
+    assert v.den >= 1 and gcd(v.den, *v.num) == 1
+    assert all(isinstance(x, int) for x in (v.den, *v.num))
+
+
+def assert_same_layout(x, y):
+    assert x == y
+    assert (x.num, x.den) == (y.num, y.den)
+    assert hash(x) == hash(y)
+
+
+@given(small_field_pairs())
+def test_arithmetic_matches_fraction_oracle(sample):
+    field, a, b, q, k = sample
+    oa, ob = FractionCyclo.of(a), FractionCyclo.of(b)
+    oq = FractionCyclo(field, [q])
+    pairs = [
+        (a + b, oa + ob), (a - b, oa - ob), (a * b, oa * ob), (-a, -oa),
+        (a + q, oa + oq), (q - a, oq - oa), (a * q, oa * oq),
+    ]
+    if a:
+        pairs += [
+            (a.inverse(), oa.inverse()), (a**k, oa**k),
+            (b / a, ob * oa.inverse()),
+        ]
+    else:
+        pairs.append((a ** abs(k), oa ** abs(k)))
+    for got, want in pairs:
+        assert got.coeffs == want.coeffs
+        assert str(got) == str(want)
+        assert_canonical(got)
+    assert (a == b) is (oa == ob)
+    assert (a == q) is (oa == oq)
+    # one value reached by different routes has one layout
+    assert_same_layout((a + b) - b, a)
+    assert_same_layout(a * b, b * a)
+    assert_same_layout(field.from_coeffs(a.coeffs), a)
+    assert_same_layout(a * field.one, a)
+    assert_same_layout(a - a, field.zero)
+    assert_same_layout(field.from_rational(q), field.from_coeffs([q]))
 
 
 def test_field_mismatch_rejected():

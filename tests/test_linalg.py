@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import intersect
+from helpers import intersect, naive_mat_mul
 from loomalg.exactnum import CycloField
 from loomalg.fixtures import matrix_inverse
 from loomalg.linalg import (
@@ -207,6 +209,42 @@ def test_mat_mul_transpose_trace_against_sympy():
     assert to_sympy_rational(transpose(a)) == to_sympy_rational(a).T
     sq = rand_matrix(rng, F1, 3, 3, span=3)
     assert trace(sq).coeffs[0] == to_sympy_rational(sq).trace()
+
+
+@st.composite
+def sparse_products(draw):
+    """Factors of shapes n x k and k x p over Q(zeta_4) or Q(zeta_12),
+    mostly zero, with a zero row of a and a zero column of b forced."""
+    field = CycloField(draw(st.sampled_from([4, 12])))
+    n, k, p = (draw(st.integers(min_value=1, max_value=4)) for _ in range(3))
+    entry = st.one_of(
+        st.just(0), st.just(0),
+        st.lists(st.integers(min_value=-3, max_value=3),
+                 min_size=1, max_size=field.degree).map(field.from_coeffs),
+        st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    )
+
+    def matrix(rows, cols):
+        return [[field.from_rational(0) + draw(entry) for _ in range(cols)]
+                for _ in range(rows)]
+
+    a, b = matrix(n, k), matrix(k, p)
+    a[draw(st.integers(min_value=0, max_value=n - 1))] = [field.zero] * k
+    zero_col = draw(st.integers(min_value=0, max_value=p - 1))
+    for row in b:
+        row[zero_col] = field.zero
+    return tuple(map(tuple, a)), tuple(map(tuple, b))
+
+
+@given(sparse_products())
+def test_mat_mul_and_mat_apply_match_the_triple_loop(factors):
+    a, b = factors
+    assert mat_mul(a, b) == naive_mat_mul(a, b)
+    for j in range(len(b[0])):
+        column = tuple(row[j] for row in b)
+        assert mat_apply(a, column) == tuple(
+            row[j] for row in naive_mat_mul(a, b)
+        )
 
 
 def test_vector_helpers():

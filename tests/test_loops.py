@@ -429,15 +429,15 @@ def test_stage_twist_period_on_previous_stage():
     assert any(stage2.twist.apply(b) != b for b in window)
     for b in window:
         assert stage2.twist.apply(stage2.twist.apply(b)) == b
-    assert stage2.actual_period == 2
+    assert tower.actual_periods[1] == 2
 
 
 def test_synthetic_stage_periods_match_validation():
     for fix in synthetic_kind_towers():
         tower = fix["tower"]
-        for stage in tower.stages:
-            assert stage.actual_period is not None
-            assert stage.modulus % stage.actual_period == 0
+        assert len(tower.actual_periods) == tower.n
+        for stage, period in zip(tower.stages, tower.actual_periods):
+            assert stage.modulus % period == 0
 
 
 # -- parent chain and default box -------------------------------------------
@@ -458,11 +458,8 @@ def test_prefix_matches_directly_built_tower(name, p):
     for _ in range(tower.n - p):
         pre = pre.parent
     assert pre.n == p and pre.stages == tower.stages[:p]
-    # the stages are shared, so record what the chain validated before
-    # the direct build validates them again
-    periods = [s.actual_period for s in pre.stages]
     direct = LoopTower(tower.base, tower.stages[:p])
-    assert [s.actual_period for s in direct.stages] == periods
+    assert pre.actual_periods == direct.actual_periods
     assert pre.validation_boxes == direct.validation_boxes
     box = direct.default_box()
 

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -174,3 +178,31 @@ def test_exhausted_norm_shift_search_is_undecided(monkeypatch):
     with pytest.raises(LoomError) as info:
         factor(p, F4)
     assert info.value.code == "undecided"
+
+
+_FACTOR_ONLY = """
+import sys
+from loomalg.exactnum import CycloField
+from loomalg.polyfactor import factor
+for n in (1, 12):
+    f = CycloField(n)
+    factor([f.from_rational(4), f.zero, f.from_rational(-5), f.zero, f.one])
+print(sorted(m for m in sys.modules if m.startswith(("sympy.tensor.tensor",
+                                                    "sympy.combinatorics"))))
+"""
+
+
+def test_factoring_stays_off_sympy_expressions():
+    # arithmetic on sympy expressions loads sympy's tensor and combinatorics
+    # modules, about 3 MB of resident memory; the bridge builds Polys only
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _FACTOR_ONLY], capture_output=True, text=True,
+        env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

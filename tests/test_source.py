@@ -27,6 +27,26 @@ def test_no_bare_asserts_in_the_package():
     assert found == []
 
 
+def test_scalar_layout_stays_in_exactnum():
+    # only exactnum builds a CycloNumber or reads its numerators and
+    # denominator, so the layout can change without touching any caller
+    bench = SRC.parent.parent / "bench"
+    found = []
+    for path in sorted([*SRC.glob("*.py"), *bench.glob("*.py")]):
+        if path.name == "exactnum.py" and path.parent == SRC:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("num", "den"):
+                found.append(f"{path.name}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.Call) and "CycloNumber" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None),
+            ):
+                found.append(f"{path.name}:{node.lineno} CycloNumber(...)")
+    assert found == []
+
+
 def _identifiers(source: str) -> set:
     """Names a module reads, imports or looks up as attributes; the name a
     def or class statement binds is not among them."""
