@@ -10,6 +10,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import FractionCyclo
 from loomalg.errors import FieldMismatch, LoomError, RootOrderUnavailable
 from loomalg.exactnum import (
     CycloField,
@@ -21,8 +22,6 @@ from loomalg.exactnum import (
     rational_str,
     root_of_unity_order,
 )
-
-from helpers import FractionCyclo
 
 F1 = CycloField(1)
 F4 = CycloField(4)
