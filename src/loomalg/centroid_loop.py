@@ -22,14 +22,12 @@ from .findim import (
     is_simple,
     matrix_algebra,
 )
-from .grading import FiniteOrderAuto, ModGrading, auto_from_grading
+from .grading import ModGrading, auto_from_grading, centroid_twist
 from .linalg import (
     SparseEchelon,
-    SpanSolver,
     Subspace,
     column_kernel,
     mat_apply,
-    mat_mul,
     vec_add,
     vec_is_zero,
     vec_scale,
@@ -46,6 +44,7 @@ from .loops import (
     free_basis_check,
     laurent_multiply,
     member_projection,
+    tower_membership,
 )
 from .polyfactor import roots_in_field
 
@@ -148,17 +147,15 @@ def centroid_action(maps, u: LaurentElement, x: LaurentElement) -> LaurentElemen
     return LaurentElement(x.field, x.arity, x.base_dim, support)
 
 
-def member_defect(tower: LoopTower, x: LaurentElement) -> LaurentElement:
-    return x.sub(member_projection(tower, x))
-
-
 def stabilizes(tower: LoopTower, maps, u: LaurentElement,
                box: DegreeBox) -> bool:
-    """Does u map every window basis member of the tower into the tower?"""
-    for x in tower.basis_in_box(box):
-        if not member_defect(tower, centroid_action(maps, u, x)).is_zero():
-            return False
-    return True
+    """Does u map every window basis member of the tower into the tower?
+    Each image is decided by tower_membership; no linear system is posed
+    (stabilizer_in_box poses one through member_projection)."""
+    return all(
+        tower_membership(tower, centroid_action(maps, u, x))
+        for x in tower.basis_in_box(box)
+    )
 
 
 def stabilizer_in_box(tower: LoopTower, box: DegreeBox) -> StabilizerBasis:
@@ -203,7 +200,8 @@ def stabilizer_in_box(tower: LoopTower, box: DegreeBox) -> StabilizerBasis:
             )
             column = {}
             for t, x in enumerate(window):
-                defect = member_defect(tower, centroid_action(maps, u, x))
+                ux = centroid_action(maps, u, x)
+                defect = ux.sub(member_projection(tower, ux))
                 for (deg, coord), val in defect.sparse_items().items():
                     column[(t, deg, coord)] = val
             columns.append(column)
@@ -232,33 +230,16 @@ def window_span(elements, box: DegreeBox, field, coeff_dim: int) -> Subspace:
 def centroid_tower(tower: LoopTower):
     """The induced tower over the base centroid.
 
-    Each stage twist conjugates centroid maps by the stage's coefficient
-    automorphism and keeps the degree matrix and character; the result is
-    again a toral-monomial tower, over the centroid algebra."""
-    base = tower.base
-    calg, maps = centroid_algebra(base)
-    d = base.dim
-    solver = SpanSolver(tower.field, d * d)
-    for mp in maps:
-        if not solver.add(mp.flat()):
-            raise InvariantViolated("centroid basis must be independent")
+    Each stage twist is replaced by the twist its coefficient automorphism
+    induces on the centroid (centroid_twist, whose eigen-grading is the
+    centroid grading) and keeps the degree matrix and character; the
+    result is again a toral-monomial tower, over the centroid algebra."""
+    calg, maps = centroid_algebra(tower.base)
     stages = []
     for stage in tower.stages:
-        theta = stage.twist.theta
-        theta_inv = theta.inverse_matrix()
-        cols = []
-        for mp in maps:
-            conj = mat_mul(mat_mul(theta.matrix, mp.matrix), theta_inv)
-            flat = tuple(v for row in conj for v in row)
-            coords = solver.express(flat)
-            if coords is None:
-                raise InvariantViolated("conjugation left the centroid span")
-            cols.append(coords)
-        matrix = tuple(zip(*cols))
-        theta_hat = FiniteOrderAuto(calg, matrix)
         twist = ToralMonomialAuto(
-            theta_hat, stage.twist.m_matrix, stage.twist.c_vector,
-            stage.twist.zeta,
+            centroid_twist(stage.twist.theta), stage.twist.m_matrix,
+            stage.twist.c_vector, stage.twist.zeta,
         )
         stages.append(TowerStage(twist, stage.modulus, stage.zeta))
     return LoopTower(calg, stages), calg, maps
@@ -375,12 +356,10 @@ def untwist_check(tower: LoopTower, box: DegreeBox):
         raise HypothesisNotMet("untwisting requires a pfgc base")
     ctower, calg, maps = centroid_tower(tower)
     field = tower.field
-    rank = 1
-    for m in tower.moduli():
-        rank *= m
     freeness = free_basis_check(ctower, box)
-    if not freeness["ok"] or freeness["rank"] != rank:
+    if not freeness["ok"]:
         return {"ok": False, "stage": "coefficient-ring", "freeness": freeness}
+    rank = freeness["rank"]
     checked = 0
     for d in box.degrees():
         for i in range(tower.base.dim):
@@ -440,7 +419,7 @@ def kind_classify(tower: LoopTower) -> KindVerdict:
         raise HypothesisNotMet(
             "second-stage degree action must be inversion or identity"
         )
-    window = DegreeBox((2 * m1, 2 * m2))
+    window = tower.default_box()
     hits = []
     for j in range(m2):
         u = LaurentElement.monomial(

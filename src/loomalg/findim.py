@@ -92,6 +92,11 @@ class StructureAlgebra:
                 tr.append(v)
             table.append(tuple(tr))
         self.table = tuple(table)
+        # per pair (i, j), the nonzero (k, c) of e_i * e_j = sum c e_k
+        self._products = tuple(
+            tuple(tuple((k, c) for k, c in enumerate(p) if c) for p in tr)
+            for tr in self.table
+        )
         self.unit = tuple(unit) if unit is not None else None
         if labels is not None and len(labels) != self.dim:
             raise DimensionMismatch("label count does not match dimension")
@@ -119,17 +124,16 @@ class StructureAlgebra:
 
     def multiply(self, x, y):
         acc = list(self.zero())
+        y_nonzero = [(j, yj) for j, yj in enumerate(y) if yj]
         for i, xi in enumerate(x):
             if not xi:
                 continue
-            row = self.table[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
+            row = self._products[i]
+            for j, yj in y_nonzero:
                 prod = row[j]
-                for k, pk in enumerate(prod):
-                    if pk:
+                if prod:
+                    c = xi * yj
+                    for k, pk in prod:
                         acc[k] = acc[k] + c * pk
         return tuple(acc)
 

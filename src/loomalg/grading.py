@@ -14,7 +14,6 @@ from .findim import LinearMap, StructureAlgebra, centroid_algebra
 from .linalg import (
     SpanSolver,
     Subspace,
-    column_kernel,
     identity_matrix,
     kernel_basis,
     mat_apply,
@@ -214,6 +213,27 @@ def validate_grading(grading: ModGrading) -> list[str]:
     return violations
 
 
+def centroid_twist(auto: FiniteOrderAuto) -> FiniteOrderAuto:
+    """The automorphism chi -> theta chi theta^-1 that theta = auto induces
+    on the centroid algebra, in the canonical basis of centroid_algebra;
+    centroid_tower and centroid_grading both read it from here."""
+    calg, maps = centroid_algebra(auto.algebra)
+    d = auto.algebra.dim
+    solver = SpanSolver(auto.field, d * d)
+    for mp in maps:
+        if not solver.add(mp.flat()):
+            raise InvariantViolated("centroid basis must be independent")
+    theta_inv = auto.inverse_matrix()
+    cols = []
+    for mp in maps:
+        conj = mat_mul(mat_mul(auto.matrix, mp.matrix), theta_inv)
+        coords = solver.express(tuple(v for row in conj for v in row))
+        if coords is None:
+            raise InvariantViolated("conjugation left the centroid span")
+        cols.append(coords)
+    return FiniteOrderAuto(calg, tuple(zip(*cols)))
+
+
 class CentroidGrading:
     """The induced grading of the centroid of a graded algebra.
 
@@ -238,43 +258,29 @@ class CentroidGrading:
 
 
 def centroid_grading(grading: ModGrading) -> CentroidGrading:
-    """Grade the centroid by shift degree against a graded algebra."""
+    """Grade the centroid by shift degree against a graded algebra.
+
+    chi sends every A_j into A_(lambda+j) exactly when theta chi theta^-1
+    = zeta^lambda chi, theta = auto_from_grading(grading): the grading is
+    the eigen-grading at grading.zeta of the induced twist centroid_twist,
+    with no linear system of its own.  A grading whose components do not
+    multiply as graded raises NotAnAutomorphism."""
     algebra = grading.algebra
     field = algebra.field
     calg, maps = centroid_algebra(algebra)
-    r = len(maps)
-    m = grading.modulus
+    coord_grading = grading_from_auto(
+        centroid_twist(auto_from_grading(grading)), grading.zeta
+    )
+    n = algebra.dim
     component_maps = []
-    coord_subspaces = []
-    for lam in range(m):
-        # chi in the span of maps with chi(A_j) inside A_(lam+j) for all j
-        columns = [{} for _ in maps]
-        for j, comp in enumerate(grading.components):
-            target = grading.component(lam + j)
-            for k, b in enumerate(comp.basis):
-                for s, mp in enumerate(maps):
-                    res = target.residual(mp.apply(b))
-                    for coord, val in enumerate(res):
-                        if val:
-                            columns[s][(j, k, coord)] = val
-        sols = [
-            tuple(sol.get(s, field.zero) for s in range(r))
-            for sol in column_kernel(range(r), columns, field)
-        ]
+    for comp in coord_grading.components:
         comp_maps = []
-        for sol in sols:
-            mat = [[field.zero] * algebra.dim for _ in range(algebra.dim)]
-            for s, c in enumerate(sol):
+        for sol in comp.basis:
+            flat = zero_vector(field, n * n)
+            for mp, c in zip(maps, sol):
                 if c:
-                    for a in range(algebra.dim):
-                        for bcol in range(algebra.dim):
-                            if maps[s].matrix[a][bcol]:
-                                mat[a][bcol] = mat[a][bcol] + c * maps[s].matrix[a][bcol]
-            comp_maps.append(LinearMap(field, mat))
+                    flat = vec_add(flat, vec_scale(c, mp.flat()))
+            rows = [flat[a * n:(a + 1) * n] for a in range(n)]
+            comp_maps.append(LinearMap(field, rows))
         component_maps.append(tuple(comp_maps))
-        coord_subspaces.append(Subspace(field, r, sols))
-    total = sum(len(c) for c in component_maps)
-    if total != r:
-        raise InvariantViolated("centroid grading failed to fill the centroid")
-    coord_grading = ModGrading(calg, m, grading.zeta, coord_subspaces)
     return CentroidGrading(grading, calg, maps, tuple(component_maps), coord_grading)

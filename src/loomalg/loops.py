@@ -560,7 +560,9 @@ class LoopTower:
 
 
 def tower_membership(tower: LoopTower, x: LaurentElement) -> bool:
-    """Recursive eigenvalue test; exact, no window involved."""
+    """Recursive eigenvalue test; exact, no window involved.  The routine
+    that decides membership of a given element (member_projection poses
+    the linear systems in unknown ones)."""
     if x.arity != tower.n:
         raise DimensionMismatch(
             f"element arity {x.arity}, tower has {tower.n} stages"
@@ -587,7 +589,9 @@ def member_projection(tower: LoopTower, y: LaurentElement) -> LaurentElement:
     lies in the tower (twists stabilize earlier stages), so y is a member
     exactly when member_projection(tower, y) == y; the defect y - P(y) is
     linear in y, which turns membership of unknown linear combinations into
-    kernel systems.  Single-monomial projections are memoized per tower."""
+    kernel systems (stabilizer_in_box, canonical_form); tower_membership
+    decides membership of a given element.  Single-monomial projections
+    are memoized per tower."""
     if y.arity != tower.n:
         raise DimensionMismatch(
             f"element arity {y.arity}, tower has {tower.n} stages"

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from loomalg.centroid_loop import stabilizer_in_box, window_span
-from loomalg.errors import DimensionMismatch
-from loomalg.findim import StructureAlgebra
+from loomalg.centroid_loop import (
+    centroid_action,
+    stabilizer_in_box,
+    window_span,
+)
+from loomalg.errors import DimensionMismatch, InvariantViolated
+from loomalg.findim import StructureAlgebra, centroid_algebra
+from loomalg.grading import ModGrading
 from loomalg.linalg import (
     SpanSolver,
     Subspace,
@@ -17,7 +22,12 @@ from loomalg.linalg import (
     vec_scale,
     zero_vector,
 )
-from loomalg.loops import DegreeBox, LaurentElement, box_coordinates
+from loomalg.loops import (
+    DegreeBox,
+    LaurentElement,
+    box_coordinates,
+    member_projection,
+)
 
 
 def zero_algebra(n, field):
@@ -271,3 +281,53 @@ def naive_mat_mul(a, b):
         )
         for i in range(len(a))
     )
+
+
+def naive_multiply(a: StructureAlgebra, x, y):
+    """Oracle for StructureAlgebra.multiply: the dense triple loop over the
+    structure-constant table, every product formed."""
+    zero = a.field.zero
+    return tuple(
+        sum((x[i] * y[j] * a.table[i][j][k]
+             for i in range(a.dim) for j in range(a.dim)), start=zero)
+        for k in range(a.dim)
+    )
+
+
+def projection_stabilizes(tower, maps, u, box: DegreeBox) -> bool:
+    """Oracle for centroid_loop.stabilizes: every image u . x of a window
+    member has zero projection defect u . x - member_projection(u . x)."""
+    for x in tower.basis_in_box(box):
+        ux = centroid_action(maps, u, x)
+        if not ux.sub(member_projection(tower, ux)).is_zero():
+            return False
+    return True
+
+
+def kernel_centroid_grading(grading: ModGrading) -> ModGrading:
+    """Oracle for grading.centroid_grading's coordinate grading: component
+    lambda is the kernel of the residual system chi(A_j) inside A_(lambda+j)
+    for every j, solved over the canonical centroid basis."""
+    algebra = grading.algebra
+    field = algebra.field
+    calg, maps = centroid_algebra(algebra)
+    r = len(maps)
+    subspaces = []
+    for lam in range(grading.modulus):
+        columns = [{} for _ in maps]
+        for j, comp in enumerate(grading.components):
+            target = grading.component(lam + j)
+            for k, b in enumerate(comp.basis):
+                for s, mp in enumerate(maps):
+                    res = target.residual(mp.apply(b))
+                    for coord, val in enumerate(res):
+                        if val:
+                            columns[s][(j, k, coord)] = val
+        sols = [
+            tuple(sol.get(s, field.zero) for s in range(r))
+            for sol in column_kernel(range(r), columns, field)
+        ]
+        subspaces.append(Subspace(field, r, sols))
+    if sum(sub.dim for sub in subspaces) != r:
+        raise InvariantViolated("centroid grading failed to fill the centroid")
+    return ModGrading(calg, grading.modulus, grading.zeta, subspaces)

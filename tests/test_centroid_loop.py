@@ -9,6 +9,7 @@ import pytest
 
 from helpers import (
     hermitian_orbit_count,
+    projection_stabilizes,
     reference_centroid_action,
     restricted_stabilizer_span,
     zero_algebra,
@@ -33,6 +34,7 @@ from loomalg.errors import HypothesisNotMet, LoomError
 from loomalg.exactnum import CycloField
 from loomalg.findim import LinearMap, centroid_algebra
 from loomalg.fixtures import (
+    fixture_registry,
     hermitian_tower,
     quantum_torus_tower,
     swap_sum_fixture,
@@ -157,6 +159,29 @@ def test_stabilizer_action_is_faithful_on_window():
             assert solver.add(tuple(action_flat)), (
                 "stabilizer element acted dependently"
             )
+
+
+def test_stabilizes_agrees_with_projection_defect_oracle():
+    # membership by tower_membership against the zero projection defect,
+    # on the kind candidates, the kind witnesses and a few lattice
+    # monomials, at least one of which must fail to stabilize
+    for name, entry in fixture_registry().items():
+        tower, field = entry["tower"], entry["field"]
+        m1, m2 = tower.moduli()
+        maps = centroid_algebra(tower.base)[1]
+        box = tower.default_box()
+        witness = kind_classify(tower).witness
+        if isinstance(witness, StrangeRingData):
+            witness = (witness.u1, witness.u2, witness.u2_inv, witness.w)
+        candidates = [scalar_monomial(field, (m1, j)) for j in range(m2)]
+        extras = [scalar_monomial(field, d) for d in ((1, 0), (0, 1), (1, 1))]
+        verdicts = []
+        for u in [*candidates, *witness, *extras]:
+            got = stabilizes(tower, maps, u, box)
+            assert got == projection_stabilizes(tower, maps, u, box), name
+            verdicts.append(got)
+        assert all(verdicts[m2:m2 + len(witness)]), name
+        assert not all(verdicts), name
 
 
 # -- centroid action: scalar maps without matrices ---------------------------

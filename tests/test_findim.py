@@ -6,8 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import mult_module_closure, zero_algebra
+from helpers import mult_module_closure, naive_multiply, zero_algebra
 from loomalg.errors import DimensionMismatch, LoomError
 from loomalg.exactnum import CycloField
 from loomalg.findim import (
@@ -151,6 +153,42 @@ def test_quaternions_are_central_simple():
     assert is_associative(q) and not is_commutative(q)
     assert is_simple(q) and is_central(q)
     assert q.unit == (F1.one, F1.zero, F1.zero, F1.zero)
+
+
+F4 = CycloField(4)
+_PRODUCT_ALGEBRAS = {
+    "mat(2)": matrix_algebra(2, F4),
+    "sl(3)": sl_algebra(3, F4),
+    "quaternions": quaternion_algebra(F4),
+    "sl(2)+mat(1)": direct_sum(sl_algebra(2, F4), matrix_algebra(1, F4)),
+}
+
+
+@st.composite
+def algebra_and_factors(draw):
+    """An algebra and two of its vectors over Q(zeta_4), mostly zero."""
+    a = _PRODUCT_ALGEBRAS[draw(st.sampled_from(sorted(_PRODUCT_ALGEBRAS)))]
+    entry = st.one_of(
+        st.just(0), st.just(0),
+        st.lists(st.integers(min_value=-3, max_value=3),
+                 min_size=1, max_size=F4.degree).map(F4.from_coeffs),
+        st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    )
+
+    def vector():
+        return tuple(F4.from_rational(0) + draw(entry) for _ in range(a.dim))
+
+    return a, vector(), vector()
+
+
+@given(algebra_and_factors())
+def test_multiply_matches_the_dense_table(factors):
+    # multiply reads the nonzero products built once per algebra;
+    # left_mult and right_mult go through it
+    a, x, y = factors
+    assert a.multiply(x, y) == naive_multiply(a, x, y)
+    assert a.left_mult(x).apply(y) == naive_multiply(a, x, y)
+    assert a.right_mult(y).apply(x) == naive_multiply(a, x, y)
 
 
 # -- centroid invariants ----------------------------------------------------

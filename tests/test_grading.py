@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from helpers import kernel_centroid_grading
 from loomalg.errors import InvalidGrading, NotAnAutomorphism
 from loomalg.exactnum import CycloField
-from loomalg.findim import matrix_algebra, sl_algebra, sl_basis
+from loomalg.findim import direct_sum, matrix_algebra, sl_algebra, sl_basis
 from loomalg.fixtures import (
     conjugation_auto,
     matrix_inverse,
@@ -236,3 +237,48 @@ def test_centroid_grading_of_simple_base_is_concentrated():
     cg = centroid_grading(grading)
     assert cg.algebra.dim == 1
     assert cg.dims() == (1, 0)
+
+
+def mat2_swap_grading():
+    alg = matrix_algebra(2, F2)
+    u = ((F2.zero, F2.one), (F2.one, F2.zero))
+    return grading_from_auto(conjugation_auto(alg, u), F2.zeta)
+
+
+def four_cycle_grading():
+    # the 4-cycle permutation of the factors of sl2^4 over Q(zeta_4)
+    half = sl_algebra(2, F4)
+    alg = direct_sum(direct_sum(half, half), direct_sum(half, half))
+    d = alg.dim
+    cols = [unit_vector(F4, d, (c + half.dim) % d) for c in range(d)]
+    return grading_from_auto(FiniteOrderAuto(alg, tuple(zip(*cols))), F4.zeta)
+
+
+@pytest.mark.parametrize("make, dims", [
+    (lambda: swap_sum_fixture()["grading"], (1, 1)),
+    (mat2_swap_grading, (1, 0)),
+    (four_cycle_grading, (1, 1, 1, 1)),
+], ids=["swap-sum", "mat2-swap", "sl2^4-cycle"])
+def test_centroid_grading_matches_residual_kernel_oracle(make, dims):
+    # the eigen-grading of the induced twist against the residual system
+    # chi(A_j) inside A_(lambda+j), as canonical subspaces
+    grading = make()
+    cg = centroid_grading(grading)
+    assert cg.coordinate_grading == kernel_centroid_grading(grading)
+    assert cg.dims() == cg.coordinate_grading.dims() == dims
+    for lam, comp_maps in enumerate(cg.component_maps):
+        for j, comp in enumerate(grading.components):
+            target = grading.component(lam + j)
+            assert all(target.contains(mp.apply(b))
+                       for mp in comp_maps for b in comp.basis)
+
+
+def test_centroid_grading_rejects_a_non_multiplicative_grading():
+    auto, alg = diag_conj_auto()
+    grading = grading_from_auto(auto, F2.zeta)
+    swapped = ModGrading(
+        alg, 2, F2.zeta, (grading.components[1], grading.components[0])
+    )
+    with pytest.raises(NotAnAutomorphism) as err:
+        centroid_grading(swapped)
+    assert err.value.code == "not-an-automorphism"

@@ -153,3 +153,39 @@ def test_bench_tracer_wraps_existing_names():
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+_TRACED_BATCH_PASS = """
+import sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import layers
+import workloads
+from tracer import Tracer
+from loomalg import dsl, runner
+
+tracer = Tracer()
+layers.install(tracer)
+for i, doc in enumerate(workloads.generate("batch", 1)):
+    tracer.doc = i
+    # module attributes are read at call time, so the wrappers are seen
+    parsed = dsl.parse(doc.text)
+    if parsed.document is not None:
+        runner.report_json(runner.execute(parsed.document))
+        dsl.format_document(parsed.document)
+tracer.uninstall()
+missing = layers.unreached(tracer)
+assert missing == [], f"traced boundaries recorded no span: {missing}"
+"""
+
+
+def test_bench_traced_boundaries_are_reached_on_batch():
+    # a wrapped boundary that the library stops calling reads as
+    # `correct: false` in a traced benchmark run; one seed-1 batch pass
+    # shows it here
+    repo = SRC.parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_BATCH_PASS,
+         str(repo / "bench"), str(SRC.parent)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
