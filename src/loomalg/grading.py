@@ -264,7 +264,10 @@ def centroid_grading(grading: ModGrading) -> CentroidGrading:
     = zeta^lambda chi, theta = auto_from_grading(grading): the grading is
     the eigen-grading at grading.zeta of the induced twist centroid_twist,
     with no linear system of its own.  A grading whose components do not
-    multiply as graded raises NotAnAutomorphism."""
+    multiply as graded raises NotAnAutomorphism, and one whose root order
+    is not its modulus InvalidGrading."""
+    if root_of_unity_order(grading.zeta) != grading.modulus:
+        raise InvalidGrading("grading root order does not match its modulus")
     algebra = grading.algebra
     field = algebra.field
     calg, maps = centroid_algebra(algebra)

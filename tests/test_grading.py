@@ -282,3 +282,14 @@ def test_centroid_grading_rejects_a_non_multiplicative_grading():
     with pytest.raises(NotAnAutomorphism) as err:
         centroid_grading(swapped)
     assert err.value.code == "not-an-automorphism"
+
+
+def test_centroid_grading_rejects_a_root_of_the_wrong_order():
+    # the eigen-grading is taken at the declared root, so a mod-4 grading
+    # declared with a square root of unity is refused, not coarsened
+    grading = swap_sum_fixture()["grading"]
+    empty = Subspace(F2, grading.algebra.dim)
+    padded = ModGrading(grading.algebra, 4, F2.zeta,
+                        (*grading.components, empty, empty))
+    with pytest.raises(InvalidGrading):
+        centroid_grading(padded)
