@@ -29,9 +29,9 @@ from .linalg import (
     SpanSolver,
     Subspace,
     charpoly,
+    column_kernel,
     kernel_basis,
     mat_apply,
-    mat_mul,
     vec_add,
     vec_is_zero,
     vec_scale,
@@ -136,81 +136,79 @@ def _rational_value(c: CycloNumber):
     return c.coeffs[0]
 
 
-def _split_spectrum(m, field):
-    """Distinct eigenvalues when m is diagonalizable with all eigenvalues in
-    the field; None otherwise."""
-    cp = charpoly(m, field)
-    factors = polyfactor.factor(cp, field)
-    if any(polyfactor.pdeg(f) != 1 for f, _ in factors):
-        return None
-    lams = [-f[0] for f, _ in factors]
-    n = len(m)
-    prod = None
-    for lam in lams:
-        shifted = tuple(
-            tuple(m[i][j] - (lam if i == j else field.zero) for j in range(n))
-            for i in range(n)
-        )
-        prod = shifted if prod is None else mat_mul(prod, shifted)
-    if any(v for row in prod for v in row):
-        return None
-    return lams
+def _split_blocks(op, blocks, field):
+    """Eigenspaces of op inside each block, sorted by weight; None unless
+    they fill every block.
 
-
-def _restricted_matrix(op, block, field):
-    """Matrix of op on the span of block, in block coordinates; None if the
-    span is not invariant."""
-    ambient = len(block[0])
-    solver = SpanSolver(field, ambient)
-    for b in block:
-        solver.add(b)
-    cols = []
-    for b in block:
-        img = mat_apply(op, b)
-        coords = solver.express(img)
-        if coords is None:
+    op is ad z for a z that commutes with the family whose joint
+    eigenspaces the blocks are, so op preserves each block and its
+    eigenvalues there are roots of its characteristic polynomial.  The
+    blocks fill the space, so filling every block is the same as op being
+    diagonalizable with all eigenvalues in the field."""
+    lams = [lam for lam, _ in polyfactor.roots_in_field(charpoly(op, field))]
+    refined = []
+    for weight, block in blocks:
+        images = [mat_apply(op, b) for b in block]
+        filled = 0
+        for lam in lams:
+            columns = [
+                {j: x for j, x in enumerate(vec_add(img, vec_scale(-lam, b)))
+                 if x}
+                for b, img in zip(block, images)
+            ]
+            vecs = []
+            for sol in column_kernel(range(len(block)), columns, field):
+                v = zero_vector(field, len(op))
+                for i, c in sol.items():
+                    v = vec_add(v, vec_scale(c, block[i]))
+                vecs.append(v)
+            if vecs:
+                refined.append((weight + (lam,), vecs))
+                filled += len(vecs)
+        if filled != len(block):
             return None
-        cols.append(coords)
-    return tuple(zip(*cols))
+    return sorted(refined, key=lambda t: _weight_key(t[0]))
 
 
 # ---------------------------------------------------------------------------
 # Lie classification
 
 def _find_cartan(a: StructureAlgebra, seed: int):
+    """Seeded search for a split toral family and its joint eigenspaces.
+
+    Returns (family, blocks), with blocks the (weight, vectors) pairs of
+    the joint eigenspaces of the adjoint family, sorted by weight.  Each
+    candidate comes from the centralizer of the family; it joins the
+    family when its adjoint eigenspaces fill every block (_split_blocks),
+    and its refined blocks replace the old ones.  The search ends when the
+    centralizer is the span of the family."""
     field = a.field
     n = a.dim
     rng = random.Random(seed)
-    family = []
+    family, rows = [], []
+    blocks = [((), a.basis())]
     span = SpanSolver(field, n)
     budget = 6 * n + 60
     while True:
-        if family:
-            rows = []
-            for h in family:
-                rows.extend(a.left_mult(h).matrix)
-            cent = kernel_basis(rows, n, field)
-        else:
-            cent = [a.basis_vector(i) for i in range(n)]
+        cent = kernel_basis(rows, n, field)
         if len(cent) == len(family):
-            return family
-        found = None
-        tried = 0
-        for z in _centralizer_candidates(cent, field, rng):
-            tried += 1
+            return family, blocks
+        candidates = _centralizer_candidates(cent, field, rng)
+        for tried, z in enumerate(candidates, start=1):
             if tried > budget:
-                break
+                raise NotSplit(
+                    "no split toral extension found within the retry budget"
+                )
             if span.contains(z):
                 continue
-            if _split_spectrum(a.left_mult(z).matrix, field) is not None:
-                found = z
+            op = a.left_mult(z).matrix
+            refined = _split_blocks(op, blocks, field)
+            if refined is not None:
                 break
-        if found is None:
-            raise NotSplit(
-                "no split toral extension found within the retry budget"
-            )
-        family.append(found)
-        span.add(found)
+        family.append(z)
+        span.add(z)
+        rows.extend(op)
+        blocks = refined
 
 
 def _centralizer_candidates(cent, field, rng):
@@ -229,50 +227,6 @@ def _centralizer_candidates(cent, field, rng):
                     for x, y in zip(vec, cent[i])
                 ]
         yield tuple(vec)
-
-
-def _joint_eigenspaces(a: StructureAlgebra, family):
-    """Refine the whole space into joint eigenspaces of the adjoint family.
-
-    Returns a list of (weight tuple, block basis); raises NotSplit when an
-    adjoint restriction fails to split into eigenspaces over the field."""
-    field = a.field
-    n = a.dim
-    blocks = [((), [a.basis_vector(i) for i in range(n)])]
-    for h in family:
-        op = a.left_mult(h).matrix
-        refined = []
-        for weight, block in blocks:
-            r = _restricted_matrix(op, block, field)
-            if r is None:
-                raise NotSplit("adjoint action does not preserve a block")
-            cp = charpoly(r, field)
-            total = 0
-            for lam, _mult in polyfactor.roots_in_field(cp, field):
-                k = len(block)
-                shifted = tuple(
-                    tuple(
-                        r[i][j] - (lam if i == j else field.zero)
-                        for j in range(k)
-                    )
-                    for i in range(k)
-                )
-                for sol in kernel_basis(shifted, k, field):
-                    v = zero_vector(field, n)
-                    for c, b in zip(sol, block):
-                        if c:
-                            v = vec_add(v, vec_scale(c, b))
-                    refined.append((weight + (lam,), [v]))
-                    total += 1
-            if total != len(block):
-                raise NotSplit(
-                    "adjoint action has eigenvalues outside the session field"
-                )
-        merged = {}
-        for weight, vecs in refined:
-            merged.setdefault(weight, []).extend(vecs)
-        blocks = sorted(merged.items(), key=lambda t: _weight_key(t[0]))
-    return blocks
 
 
 def _weight_key(weight):
@@ -395,17 +349,19 @@ def _branch_length(adj, center, first):
 def lie_split_type(a: StructureAlgebra, seed: int = _SEED) -> Archetype:
     """Dynkin label of a split simple Lie algebra over the session field.
 
-    Finds a split Cartan subalgebra by a seeded search, decomposes
-    the algebra into root spaces, reads Cartan integers off root strings,
-    and matches the diagram against the registry."""
+    Finds a split Cartan subalgebra by a seeded search that carries the
+    root decomposition along: a candidate joins the toral family exactly
+    when its adjoint eigenspaces fill every joint eigenspace of the family
+    so far, which is the same as being ad-diagonalizable over the field.
+    Then reads Cartan integers off root strings and matches the diagram
+    against the registry."""
     if not is_lie(a):
         raise NotLie("algebra is not Lie (anticommutativity or Jacobi fails)")
     if not is_simple(a):
         raise NotSimple("algebra is not simple")
     field = a.field
-    family = _find_cartan(a, seed)
+    family, blocks = _find_cartan(a, seed)
     r = len(family)
-    blocks = _joint_eigenspaces(a, family)
     zero_weight = tuple(field.zero for _ in range(r))
     roots = []
     for weight, vecs in blocks:

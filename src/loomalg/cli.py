@@ -65,9 +65,11 @@ def _load(path: str):
         with open(path, encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
-        print(f"loomalg: cannot read {path}: {exc.strerror}",
-              file=sys.stderr)
-        return None
+        reason = exc.strerror
+    except UnicodeDecodeError as exc:
+        reason = f"not UTF-8 ({exc.reason} at byte {exc.start})"
+    print(f"loomalg: cannot read {path}: {reason}", file=sys.stderr)
+    return None
 
 
 def _parse_or_report(source: str):

@@ -23,7 +23,8 @@ from math import gcd
 DIAGNOSTIC_CODES = {
     "syntax-error": "the source text does not match the grammar",
     "bad-literal": "a literal is out of range (zero denominator, zero "
-                   "modulus, undersized algebra, zeta(0))",
+                   "modulus, undersized algebra, zeta(0), an integer too long "
+                   "to read)",
     "duplicate-name": "a name is declared twice",
     "unresolved-name": "a reference to a name with no earlier declaration",
     "wrong-reference-kind": "a name resolves to a declaration of the wrong "
@@ -133,9 +134,9 @@ def _lex(source: str):
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j].isdecimal():
                 j += 1
             tokens.append(Token("int", source[i:j], line, start_col))
             col += j - i
@@ -409,7 +410,12 @@ class _Parser:
             self.fail(f"expected an integer, found {tok.text!r}"
                       if tok.kind != "eof"
                       else "expected an integer, found end of input")
-        return int(self.advance().text)
+        self.advance()
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            self.fail(f"integer literal of {len(tok.text)} digits is too "
+                      "long", span=tok.span, code="bad-literal")
 
     def signed_int(self) -> int:
         if self.at_punct("-"):

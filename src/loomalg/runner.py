@@ -377,7 +377,7 @@ def _element_value(ctx: _RunContext, tower: LoopTower, terms):
         if term.label in labels:
             idx = labels.index(term.label)
         elif (term.label.startswith("e")
-              and term.label[1:].isdigit()
+              and term.label[1:].isdecimal()
               and int(term.label[1:]) < base.dim):
             idx = int(term.label[1:])
         else:

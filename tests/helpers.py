@@ -2,21 +2,27 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
+from loomalg import polyfactor
+from loomalg.archetypes import _centralizer_candidates, _weight_key
 from loomalg.centroid_loop import (
     centroid_action,
     stabilizer_in_box,
     window_span,
 )
-from loomalg.errors import DimensionMismatch, InvariantViolated
+from loomalg.errors import DimensionMismatch, InvariantViolated, NotSplit
 from loomalg.findim import StructureAlgebra, centroid_algebra
 from loomalg.grading import ModGrading
 from loomalg.linalg import (
     SpanSolver,
     Subspace,
+    charpoly,
     column_kernel,
+    kernel_basis,
     mat_apply,
+    mat_mul,
     vec_add,
     vec_is_zero,
     vec_scale,
@@ -331,3 +337,127 @@ def kernel_centroid_grading(grading: ModGrading) -> ModGrading:
     if sum(sub.dim for sub in subspaces) != r:
         raise InvariantViolated("centroid grading failed to fill the centroid")
     return ModGrading(calg, grading.modulus, grading.zeta, subspaces)
+
+
+def _split_spectrum(m, field):
+    """Distinct eigenvalues when m is diagonalizable with all eigenvalues in
+    the field; None otherwise."""
+    cp = charpoly(m, field)
+    factors = polyfactor.factor(cp, field)
+    if any(polyfactor.pdeg(f) != 1 for f, _ in factors):
+        return None
+    lams = [-f[0] for f, _ in factors]
+    n = len(m)
+    prod = None
+    for lam in lams:
+        shifted = tuple(
+            tuple(m[i][j] - (lam if i == j else field.zero) for j in range(n))
+            for i in range(n)
+        )
+        prod = shifted if prod is None else mat_mul(prod, shifted)
+    if any(v for row in prod for v in row):
+        return None
+    return lams
+
+
+def _restricted_matrix(op, block, field):
+    """Matrix of op on the span of block, in block coordinates; None if the
+    span is not invariant."""
+    ambient = len(block[0])
+    solver = SpanSolver(field, ambient)
+    for b in block:
+        solver.add(b)
+    cols = []
+    for b in block:
+        img = mat_apply(op, b)
+        coords = solver.express(img)
+        if coords is None:
+            return None
+        cols.append(coords)
+    return tuple(zip(*cols))
+
+
+def reference_find_cartan(a: StructureAlgebra, seed: int):
+    """Oracle for archetypes._find_cartan's family: a candidate joins when
+    the characteristic polynomial of its adjoint splits into linear factors
+    and the product of (ad z - lambda) over its roots is zero."""
+    field = a.field
+    n = a.dim
+    rng = random.Random(seed)
+    family = []
+    span = SpanSolver(field, n)
+    budget = 6 * n + 60
+    while True:
+        if family:
+            rows = []
+            for h in family:
+                rows.extend(a.left_mult(h).matrix)
+            cent = kernel_basis(rows, n, field)
+        else:
+            cent = [a.basis_vector(i) for i in range(n)]
+        if len(cent) == len(family):
+            return family
+        found = None
+        tried = 0
+        for z in _centralizer_candidates(cent, field, rng):
+            tried += 1
+            if tried > budget:
+                break
+            if span.contains(z):
+                continue
+            if _split_spectrum(a.left_mult(z).matrix, field) is not None:
+                found = z
+                break
+        if found is None:
+            raise NotSplit(
+                "no split toral extension found within the retry budget"
+            )
+        family.append(found)
+        span.add(found)
+
+
+def reference_joint_eigenspaces(a: StructureAlgebra, family):
+    """Oracle for archetypes._find_cartan's blocks: refine the whole space
+    into joint eigenspaces of the adjoint family, one family member at a
+    time, by restricting each adjoint to each block and solving each
+    eigenspace in block coordinates.
+
+    Returns a list of (weight tuple, block basis); raises NotSplit when an
+    adjoint restriction fails to split into eigenspaces over the field."""
+    field = a.field
+    n = a.dim
+    blocks = [((), [a.basis_vector(i) for i in range(n)])]
+    for h in family:
+        op = a.left_mult(h).matrix
+        refined = []
+        for weight, block in blocks:
+            r = _restricted_matrix(op, block, field)
+            if r is None:
+                raise NotSplit("adjoint action does not preserve a block")
+            cp = charpoly(r, field)
+            total = 0
+            for lam, _mult in polyfactor.roots_in_field(cp, field):
+                k = len(block)
+                shifted = tuple(
+                    tuple(
+                        r[i][j] - (lam if i == j else field.zero)
+                        for j in range(k)
+                    )
+                    for i in range(k)
+                )
+                for sol in kernel_basis(shifted, k, field):
+                    v = zero_vector(field, n)
+                    for c, b in zip(sol, block):
+                        if c:
+                            v = vec_add(v, vec_scale(c, b))
+                    refined.append((weight + (lam,), [v]))
+                    total += 1
+            if total != len(block):
+                raise NotSplit(
+                    "adjoint action has eigenvalues outside the session field"
+                )
+        merged = {}
+        for weight, vecs in refined:
+            merged.setdefault(weight, []).extend(vecs)
+        blocks = sorted(merged.items(), key=lambda t: _weight_key(t[0]))
+    return blocks

@@ -6,10 +6,15 @@ import random
 
 import pytest
 
-from helpers import zero_algebra
+from helpers import (
+    reference_find_cartan,
+    reference_joint_eigenspaces,
+    zero_algebra,
+)
 from loomalg.archetypes import (
     Archetype,
     RootSystemData,
+    _find_cartan,
     algebra_type,
     associative_type,
     lie_split_type,
@@ -31,6 +36,7 @@ from loomalg.fixtures import (
     quantum_torus_tower,
     quaternion_algebra,
 )
+from loomalg.linalg import Subspace
 
 
 # -- registry ---------------------------------------------------------------
@@ -101,10 +107,12 @@ def test_a2_diagram_and_cartan_matrix():
     assert data.diagram == ((0, 1, 1),)
 
 
-def test_label_survives_change_of_basis():
+def _changed_bases():
+    """Three random change-of-basis images of sl(2) over Q(zeta_4)."""
     field = CycloField(4)
     a = sl_algebra(2, field)
     rng = random.Random(99)
+    out = []
     for _ in range(3):
         while True:
             cols = [
@@ -112,11 +120,76 @@ def test_label_survives_change_of_basis():
                 for _ in range(a.dim)
             ]
             try:
-                b = change_basis(a, cols)
+                out.append(change_basis(a, cols))
                 break
             except Exception:
                 continue
+    return out
+
+
+def test_label_survives_change_of_basis():
+    for b in _changed_bases():
         assert lie_split_type(b).label == "A1"
+
+
+def cross_product_algebra(field):
+    """so(3) as the cross product on three coordinates: e0 x e1 = e2 and
+    cyclically.  Split exactly when the field holds a square root of -1."""
+    zero = tuple(field.zero for _ in range(3))
+
+    def e(k, sign=1):
+        return tuple(
+            field.from_rational(sign) if q == k else field.zero
+            for q in range(3)
+        )
+
+    table = [[zero] * 3 for _ in range(3)]
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        table[i][j] = e(k)
+        table[j][i] = e(k, -1)
+    return StructureAlgebra(field, table)
+
+
+# (kind, size, field order); "basis" k is the k-th change of basis of sl(2)
+_SEARCH_CASES = (
+    [("sl", n, order) for n in (2, 3) for order in (1, 3, 4, 12)]
+    + [("sl", 4, 1), ("sl", 4, 4), ("so", 3, 4), ("so", 3, 12)]
+    + [("basis", k, 4) for k in range(3)]
+)
+
+
+def _search_algebra(kind, size, order):
+    if kind == "sl":
+        return sl_algebra(size, CycloField(order))
+    if kind == "so":
+        return cross_product_algebra(CycloField(order))
+    return _changed_bases()[size]
+
+
+@pytest.mark.parametrize("seed", [20260214, 7])
+@pytest.mark.parametrize(
+    "case", _SEARCH_CASES, ids=lambda c: f"{c[0]}{c[1]}-Q{c[2]}"
+)
+def test_cartan_search_matches_the_two_pass_oracle(case, seed):
+    # one pass (filling the blocks accepts a candidate) against the old
+    # two passes (split spectrum, then joint eigenspaces from scratch)
+    a = _search_algebra(*case)
+    family, blocks = _find_cartan(a, seed)
+    old_family = reference_find_cartan(a, seed)
+    old_blocks = reference_joint_eigenspaces(a, old_family)
+    assert family == old_family
+    assert [w for w, _ in blocks] == [w for w, _ in old_blocks]
+    assert [Subspace(a.field, a.dim, vecs) for _, vecs in blocks] == [
+        Subspace(a.field, a.dim, vecs) for _, vecs in old_blocks
+    ]
+
+
+def test_cross_product_splits_only_with_a_square_root_of_minus_one():
+    with pytest.raises(NotSplit) as err:
+        lie_split_type(cross_product_algebra(CycloField(1)))
+    assert "no split toral extension" in str(err.value)
+    assert lie_split_type(cross_product_algebra(CycloField(4))).label == "A1"
 
 
 def test_lie_classifier_rejects_non_lie_and_non_simple():

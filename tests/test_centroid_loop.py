@@ -32,16 +32,17 @@ from loomalg.centroid_loop import (
 )
 from loomalg.errors import HypothesisNotMet, LoomError
 from loomalg.exactnum import CycloField
-from loomalg.findim import LinearMap, centroid_algebra
+from loomalg.findim import LinearMap, centroid_algebra, direct_sum, sl_algebra
 from loomalg.fixtures import (
     fixture_registry,
     hermitian_tower,
     quantum_torus_tower,
+    sl_matrix_auto,
     swap_sum_fixture,
     synthetic_kind_towers,
 )
 from loomalg.grading import FiniteOrderAuto, auto_from_grading
-from loomalg.linalg import SpanSolver
+from loomalg.linalg import SpanSolver, mat_mul
 from loomalg.loops import (
     DegreeBox,
     LaurentElement,
@@ -50,6 +51,8 @@ from loomalg.loops import (
     TowerStage,
     box_coordinates,
     laurent_multiply,
+    multiloop,
+    tower_membership,
 )
 
 F1 = CycloField(1)
@@ -182,6 +185,46 @@ def test_stabilizes_agrees_with_projection_defect_oracle():
             verdicts.append(got)
         assert all(verdicts[m2:m2 + len(witness)]), name
         assert not all(verdicts), name
+
+
+def test_stabilizes_agrees_with_the_oracle_on_a_non_central_base():
+    # one loop step of sl(2) + sl(2) by id + conj(diag(1, -1)): each
+    # centroid projection acts on one summand, so c_s (x) z sends the
+    # members of the other summand to zero, inside the tower, and its own
+    # out of it (15 and 13 of the 28 members of the default window)
+    field = CycloField(2)
+    half = sl_algebra(2, field)
+    d = ((field.one, field.zero), (field.zero, -field.one))  # d = d^-1
+    flip = sl_matrix_auto(half, 2, lambda m: mat_mul(mat_mul(d, m), d))
+    base = direct_sum(half, half)
+    matrix = tuple(
+        tuple(
+            (field.one if i == j else field.zero) if i < 3 and j < 3
+            else flip.matrix[i - 3][j - 3] if i >= 3 and j >= 3
+            else field.zero
+            for j in range(6)
+        )
+        for i in range(6)
+    )
+    tower = multiloop(base, [FiniteOrderAuto(base, matrix)], [field.zeta])
+    maps = centroid_algebra(base)[1]
+    box = tower.default_box()
+    window = tower.basis_in_box(box)
+    assert len(maps) == 2 and len(window) == 28
+    inside = []
+    for s in range(2):
+        c = tuple(field.one if q == s else field.zero for q in range(2))
+        u = LaurentElement.monomial(field, 1, 2, (1,), c)
+        inside.append(sum(
+            tower_membership(tower, centroid_action(maps, u, x))
+            for x in window
+        ))
+        assert not stabilizes(tower, maps, u, box)
+        assert not projection_stabilizes(tower, maps, u, box)
+        u2 = LaurentElement.monomial(field, 1, 2, (2,), c)
+        assert stabilizes(tower, maps, u2, box)
+        assert projection_stabilizes(tower, maps, u2, box)
+    assert sorted(inside) == [13, 15]
 
 
 # -- centroid action: scalar maps without matrices ---------------------------

@@ -105,6 +105,17 @@ def test_missing_file_exit_two(tmp_path):
     assert "cannot read" in proc.stderr
 
 
+@pytest.mark.parametrize("subcommand", ["run", "fmt"])
+def test_file_that_is_not_utf8_exit_two(subcommand, tmp_path):
+    path = tmp_path / "latin1.loom"
+    path.write_bytes(b"field zeta \xff;\n")
+    proc = loomalg(subcommand, str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"loomalg: cannot read {path}: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_usage_error_exit_two():
     proc = loomalg("explode")
     assert proc.returncode == 2

@@ -132,6 +132,20 @@ def test_hyphenated_name_round_trips():
     assert parse(printed).document == first.document
 
 
+def test_superscript_digit_is_a_syntax_error():
+    # str.isdigit accepts superscripts that int() cannot read
+    result = parse("field zeta \u00b2;\n")
+    assert [d.code for d in result.errors] == ["syntax-error"]
+
+
+def test_integer_past_the_conversion_limit_is_a_bad_literal():
+    # CPython reads at most 4300 digits by default
+    result = parse("field zeta " + "9" * 5000 + ";\n")
+    assert [str(d) for d in result.errors] == [
+        "1:12: error[bad-literal]: integer literal of 5000 digits is too long"
+    ]
+
+
 def test_parse_is_deterministic():
     src = (FIXTURES / "hermitian_1.loom").read_text(encoding="utf-8")
     a, b = parse(src), parse(src)

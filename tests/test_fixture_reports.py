@@ -2,11 +2,12 @@
 
 `fixture_reports.json` maps each fixture path (relative to the repository
 root) to the exit code of `loomalg run --json - PATH` and the SHA-256 of
-its stdout and of its stderr, recorded before the scalar centroid action
-and the `any()` zero tests landed.  A change that keeps every report must
-keep these; one that changes a report on purpose rewrites the entry and
-says why.  `quantum_torus_3` and `hermitian_2` take tens of seconds each
-and are left out.
+its stdout and of its stderr.  Every fixture document is pinned; the
+entries for `quantum_torus_3` and `hermitian_2` (about 4 s each) were
+recorded before the one-pass Cartan search, the others before the scalar
+centroid action and the `any()` zero tests landed.  A change that keeps
+every report must keep these; one that changes a report on purpose
+rewrites the entry and says why.
 """
 
 from __future__ import annotations

@@ -191,8 +191,12 @@ def test_multiloop_rejects_noncommuting_autos():
     from loomalg.fixtures import conjugation_auto
 
     a1, a2 = conjugation_auto(base, u), conjugation_auto(base, v)
-    with pytest.raises(InvalidGrading):
+    with pytest.raises(InvalidGrading) as err:
         multiloop(base, [a1, a2], [field.zeta**2, field.zeta])
+    assert str(err.value) == (
+        "stage 2 twist does not stabilize the previous stage "
+        "(checked on box (4,))"
+    )
 
 
 def _named_tower(name):

@@ -270,6 +270,20 @@ def test_canonical_form_unknown_label():
     assert got["error"]["code"] == "unknown-basis-label"
 
 
+def test_canonical_form_superscript_label():
+    # e followed by a superscript digit is a name, not e0..e3
+    src = (
+        "field zeta 2;\n"
+        "algebra A = mat(2);\n"
+        "auto sd = conj(A, [[1, 0], [0, -1]]);\n"
+        "tower T = multiloop(A, [sd]);\n"
+        "canonical-form T of e\u00b2 * z(1);\n"
+    )
+    got = entry(run_source(src), "canonical-form")
+    assert got["ok"] is False
+    assert got["error"]["code"] == "unknown-basis-label"
+
+
 # -- each structural fact once ----------------------------------------------
 
 
