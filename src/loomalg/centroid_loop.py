@@ -158,17 +158,37 @@ def stabilizes(tower: LoopTower, maps, u: LaurentElement,
     )
 
 
+def _member_degree(x: LaurentElement, homogeneous: bool):
+    """A degree of a window member's support, checked to be the only one,
+    or the only outermost exponent when just that variable is periodic."""
+    count = len(x.support) if homogeneous else len(x.last_degrees())
+    if count != 1:
+        raise InvariantViolated(
+            "window member is not homogeneous in "
+            + ("every variable" if homogeneous else "the outermost variable")
+        )
+    return next(iter(x.support))
+
+
 def stabilizer_in_box(tower: LoopTower, box: DegreeBox) -> StabilizerBasis:
     """Window basis of {u in C(A) (x) Laurent : u . L inside L}.
 
-    The membership defect of u . x is linear in u, so the stabilizer window
-    is the kernel of one sparse system per outermost-variable exponent
-    (window members are homogeneous in that variable, so exponents never
-    couple).  The same box serves as the action-verification window.
-    Scalar centroid maps act without a matrix (see centroid_action): on a
-    central base the one basis map is the identity, so each unknown acts on
-    a window member by a degree shift alone.  Each box is solved once per tower; later calls
-    return the stored basis."""
+    The membership defect of u . x is linear in u, so the stabilizer is a
+    kernel.  It is posed on the tower's degree periods P: shifting by
+    z_p^(P_p) maps the tower onto itself, so the constraints on an unknown
+    of degree d depend only on the class of d, and the members of degree
+    g + P_p e_p are those of degree g shifted.  The rows therefore come
+    from the members at the first degree of each class in the box.  When
+    every P_p is set (every degree matrix is I) members are homogeneous
+    and unknowns of different degrees share no row, so a block is one
+    degree; otherwise only the outermost variable is periodic and a block
+    is one outermost exponent.  One block per class is solved, at the
+    first degree of the class in the box, and its canonical kernel is
+    shifted onto every degree of the class in the box.  The constraint
+    sets equal those of the whole window, so the kernels do too.  The
+    same box serves as the action-verification window.  Scalar centroid
+    maps act without a matrix (see centroid_action).  Each box is solved
+    once per tower; later calls return the stored basis."""
     if box.arity != tower.n:
         raise LoomError("box arity does not match the tower")
     stored = tower._stabilizer_cache.get(box.radius)
@@ -178,18 +198,33 @@ def stabilizer_in_box(tower: LoopTower, box: DegreeBox) -> StabilizerBasis:
         raise HypothesisNotMet(
             "stabilizer realization requires a pfgc base"
         )
+    if tower.n == 0:
+        raise LoomError("stabilizer windows need at least one loop stage")
     calg, maps = centroid_algebra(tower.base)
     r = calg.dim
     field = tower.field
-    window = tower.basis_in_box(box)
+    periods = tower.degree_periods
+    homogeneous = None not in periods
+    lows = tuple(-x for x in box.radius)
+
+    def class_shift(degree):
+        # offset from the first degree of the class in the box
+        return tuple(
+            0 if period is None else (c - low) // period * period
+            for c, low, period in zip(degree, lows, periods)
+        )
+
+    members = [
+        x for x in tower.basis_in_box(box)
+        if not any(class_shift(_member_degree(x, homogeneous)))
+    ]
     degrees = box.degrees()
-    elements = []
-    dims_by_degree = {}
-    if tower.n == 0:
-        raise LoomError("stabilizer windows need at least one loop stage")
-    last_r = box.radius[-1]
-    for d_last in range(-last_r, last_r + 1):
-        block_degs = [d for d in degrees if d[-1] == d_last]
+
+    def block_kernel(first):
+        block_degs = (
+            [first] if homogeneous
+            else [d for d in degrees if d[-1] == first[-1]]
+        )
         keys = [(d, s) for d in block_degs for s in range(r)]
         columns = []
         for d, s in keys:
@@ -199,23 +234,35 @@ def stabilizer_in_box(tower: LoopTower, box: DegreeBox) -> StabilizerBasis:
                       for q in range(r)),
             )
             column = {}
-            for t, x in enumerate(window):
+            for t, x in enumerate(members):
                 ux = centroid_action(maps, u, x)
                 defect = ux.sub(member_projection(tower, ux))
                 for (deg, coord), val in defect.sparse_items().items():
                     column[(t, deg, coord)] = val
             columns.append(column)
-        sols = column_kernel(keys, columns, field)
-        dims_by_degree[d_last] = len(sols)
-        for sol in sols:
+        return column_kernel(keys, columns, field)
+
+    # blocks in order of the outermost exponent, then of degree
+    last = range(lows[-1], box.radius[-1] + 1)
+    heads = (
+        sorted(degrees, key=lambda d: (d[-1], d)) if homogeneous
+        else [lows[:-1] + (j,) for j in last]
+    )
+    kernels = {}
+    elements = []
+    dims_by_degree = dict.fromkeys(last, 0)
+    for head in heads:
+        shift = class_shift(head)
+        first = tuple(h - o for h, o in zip(head, shift))
+        if first not in kernels:
+            kernels[first] = block_kernel(first)
+        dims_by_degree[head[-1]] += len(kernels[first])
+        for sol in kernels[first]:
             support = {}
             for (d, s), val in sol.items():
-                if val:
-                    vec = support.setdefault(d, [field.zero] * r)
-                    vec[s] = val
-            elements.append(
-                LaurentElement(field, tower.n, r, support)
-            )
+                deg = tuple(a + o for a, o in zip(d, shift))
+                support.setdefault(deg, [field.zero] * r)[s] = val
+            elements.append(LaurentElement(field, tower.n, r, support))
     stab = StabilizerBasis(box, elements, dims_by_degree, maps)
     tower._stabilizer_cache[box.radius] = stab
     return stab

@@ -108,7 +108,7 @@ class StructureAlgebra:
                     raise DimensionMismatch("declared unit is not a two-sided unit")
         self._left_cache: dict = {}
         self._right_cache: dict = {}
-        self._facts: dict = {}  # simplicity and centroid, computed once
+        self._facts: dict = {}  # verdicts and centroid, computed once
 
     def zero(self):
         return zero_vector(self.field, self.dim)
@@ -313,6 +313,13 @@ def is_anticommutative(a: StructureAlgebra) -> bool:
 
 
 def is_associative(a: StructureAlgebra) -> bool:
+    """Whether (xy)z = x(yz) on the basis; the verdict is stored on `a`."""
+    if "associative" not in a._facts:
+        a._facts["associative"] = _is_associative(a)
+    return a._facts["associative"]
+
+
+def _is_associative(a: StructureAlgebra) -> bool:
     basis = a.basis()
     for x in basis:
         for y in basis:
@@ -343,7 +350,11 @@ def satisfies_jacobi(a: StructureAlgebra) -> bool:
 
 
 def is_lie(a: StructureAlgebra) -> bool:
-    return is_anticommutative(a) and satisfies_jacobi(a)
+    """Anticommutativity and the Jacobi identity; the verdict is stored on
+    `a`."""
+    if "lie" not in a._facts:
+        a._facts["lie"] = is_anticommutative(a) and satisfies_jacobi(a)
+    return a._facts["lie"]
 
 
 def is_perfect(a: StructureAlgebra) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iter_product
+from math import gcd, lcm
 
 from .errors import (
     DimensionMismatch,
@@ -411,6 +412,13 @@ class LoopTower:
     there extends the parent's actual_periods.  Stages may be shared
     between towers, so nothing is recorded on them.  Towers are immutable
     afterwards.
+
+    degree_periods holds the periods P: shifting by z_p^(P_p) maps the
+    tower onto itself.  P_n = m_n always.  For p < n, P_p is set only
+    when every stage's degree matrix is I (then members are homogeneous
+    in every variable); it is m_p t_p with t_p the least integer such that
+    every later stage's character is trivial on m_p t_p e_p, and None
+    otherwise.
     """
 
     def __init__(self, base: StructureAlgebra, stages):
@@ -432,8 +440,27 @@ class LoopTower:
             radius, period = self._validate_last_stage()
             self.validation_boxes = [*self.parent.validation_boxes, radius]
             self.actual_periods = (*self.parent.actual_periods, period)
+        self.degree_periods = self._degree_periods()
 
     # -- construction-time checks ------------------------------------------
+
+    def _degree_periods(self):
+        if self.n == 0:
+            return ()
+        outer = self.stages[-1].modulus
+        if any(s.twist.m_matrix != _int_identity(s.twist.arity)
+               for s in self.stages):
+            return (None,) * (self.n - 1) + (outer,)
+        periods = []
+        for p, stage in enumerate(self.stages[:-1]):
+            # z_p^(m t) is fixed by stage q's character zeta_q^<c_q, .>
+            # exactly when o_q divides m t c_q[p]
+            t = 1
+            for later in self.stages[p + 1:]:
+                o = later.twist.root_order
+                t = lcm(t, o // gcd(o, stage.modulus * later.twist.c_vector[p]))
+            periods.append(stage.modulus * t)
+        return (*periods, outer)
 
     def _validate_last_stage(self):
         """Check the stage this tower adds; return the window radii used

@@ -374,12 +374,16 @@ def _element_value(ctx: _RunContext, tower: LoopTower, terms):
     labels = list(base.labels or ())
     x = LaurentElement.zero(ctx.field, tower.n, base.dim)
     for term in terms:
+        # leading zeros aside, more digits than the dimension has cannot
+        # name a basis vector, and int() refuses very long strings
+        digits = term.label[1:].lstrip("0") or "0"
         if term.label in labels:
             idx = labels.index(term.label)
         elif (term.label.startswith("e")
               and term.label[1:].isdecimal()
-              and int(term.label[1:]) < base.dim):
-            idx = int(term.label[1:])
+              and len(digits) <= len(str(base.dim))
+              and int(digits) < base.dim):
+            idx = int(digits)
         else:
             raise LoomError(
                 f"unknown basis label {term.label!r}; the base algebra "

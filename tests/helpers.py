@@ -8,6 +8,7 @@ from fractions import Fraction
 from loomalg import polyfactor
 from loomalg.archetypes import _centralizer_candidates, _weight_key
 from loomalg.centroid_loop import (
+    StabilizerBasis,
     centroid_action,
     stabilizer_in_box,
     window_span,
@@ -123,6 +124,49 @@ def reference_centroid_action(maps, u, x):
             term = LaurentElement(x.field, x.arity, x.base_dim, image)
             acc = acc.add(term.shift(du).scale(c))
     return acc
+
+
+def window_stabilizer(tower, box: DegreeBox) -> StabilizerBasis:
+    """Oracle for centroid_loop.stabilizer_in_box: one kernel per exponent
+    of the outermost variable, every unknown degree of that slice posed
+    against every window member (no periods, nothing stored)."""
+    calg, maps = centroid_algebra(tower.base)
+    r = calg.dim
+    field = tower.field
+    window = tower.basis_in_box(box)
+    degrees = box.degrees()
+    elements = []
+    dims_by_degree = {}
+    last_r = box.radius[-1]
+    for d_last in range(-last_r, last_r + 1):
+        block_degs = [d for d in degrees if d[-1] == d_last]
+        keys = [(d, s) for d in block_degs for s in range(r)]
+        columns = []
+        for d, s in keys:
+            u = LaurentElement.monomial(
+                field, tower.n, r, d,
+                tuple(field.one if q == s else field.zero
+                      for q in range(r)),
+            )
+            column = {}
+            for t, x in enumerate(window):
+                ux = centroid_action(maps, u, x)
+                defect = ux.sub(member_projection(tower, ux))
+                for (deg, coord), val in defect.sparse_items().items():
+                    column[(t, deg, coord)] = val
+            columns.append(column)
+        sols = column_kernel(keys, columns, field)
+        dims_by_degree[d_last] = len(sols)
+        for sol in sols:
+            support = {}
+            for (d, s), val in sol.items():
+                if val:
+                    vec = support.setdefault(d, [field.zero] * r)
+                    vec[s] = val
+            elements.append(
+                LaurentElement(field, tower.n, r, support)
+            )
+    return StabilizerBasis(box, elements, dims_by_degree, maps)
 
 
 def restricted_stabilizer_span(tower, big_radius, small_box: DegreeBox,

@@ -21,6 +21,7 @@ from loomalg.archetypes import (
     registry_label_valid,
     tower_type,
 )
+from loomalg import findim
 from loomalg.errors import HypothesisNotMet, NotLie, NotSimple, NotSplit
 from loomalg.exactnum import CycloField
 from loomalg.findim import (
@@ -300,6 +301,28 @@ def test_tower_type_everywhere_in_registry():
             ell = fix["ell"]
             assert (arch.variety, arch.label) == ("Lie", f"A{ell}")
         assert registry_label_valid(arch.variety, arch.label)
+
+
+@pytest.mark.parametrize("build,check", [
+    (lambda: hermitian_tower(1), "satisfies_jacobi"),
+    (lambda: quantum_torus_tower(2), "_is_associative"),
+], ids=["jacobi", "associativity"])
+def test_tower_type_checks_each_identity_once(build, check, monkeypatch):
+    # algebra_type and then lie_split_type or associative_type ask for the
+    # same verdict; the base stores it
+    tower = build()["tower"]
+    calls = []
+    original = getattr(findim, check)
+
+    def counted(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(findim, check, counted)
+    tower_type(tower)
+    assert calls == [tower.base]
+    tower_type(tower)
+    assert calls == [tower.base]
 
 
 def test_tower_type_needs_a_good_base():

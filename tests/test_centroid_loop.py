@@ -12,6 +12,7 @@ from helpers import (
     projection_stabilizes,
     reference_centroid_action,
     restricted_stabilizer_span,
+    window_stabilizer,
     zero_algebra,
 )
 from loomalg import centroid_loop, findim
@@ -30,10 +31,17 @@ from loomalg.centroid_loop import (
     untwist_check,
     window_span,
 )
-from loomalg.errors import HypothesisNotMet, LoomError
+from loomalg.errors import HypothesisNotMet, InvariantViolated, LoomError
 from loomalg.exactnum import CycloField
-from loomalg.findim import LinearMap, centroid_algebra, direct_sum, sl_algebra
+from loomalg.findim import (
+    LinearMap,
+    centroid_algebra,
+    direct_sum,
+    matrix_algebra,
+    sl_algebra,
+)
 from loomalg.fixtures import (
+    conjugation_auto,
     fixture_registry,
     hermitian_tower,
     quantum_torus_tower,
@@ -351,6 +359,112 @@ def test_box_growth_stability_quantum_torus():
     at_d = restricted_stabilizer_span(qt["tower"], (2, 2), small)
     at_2d = restricted_stabilizer_span(qt["tower"], (4, 4), small)
     assert at_d == at_2d
+
+
+# -- the period solver against the window oracle ----------------------------
+
+# even boxes, uneven boxes, and boxes narrower than one period in a variable
+_ORACLE_BOXES = ((1, 1), (2, 2), (1, 3), (3, 1), (0, 2), (2, 0))
+
+
+def assert_matches_window_oracle(tower, box):
+    got = stabilizer_in_box(tower, box)
+    want = window_stabilizer(tower, box)
+    assert got.elements == want.elements
+    assert list(got.dims_by_degree.items()) == list(
+        want.dims_by_degree.items()
+    )
+
+
+_REGISTRY = fixture_registry()
+
+
+@pytest.mark.parametrize("name", sorted(_REGISTRY))
+def test_stabilizer_matches_the_window_oracle_on_the_registry(name):
+    tower = _REGISTRY[name]["tower"]
+    for radius in _ORACLE_BOXES:
+        assert_matches_window_oracle(tower, DegreeBox(radius))
+
+
+def swap_loop_tower():
+    """The one-stage tower psi_check builds from the swap fixture."""
+    fix = swap_sum_fixture()
+    alg, grading, field = fix["algebra"], fix["grading"], fix["field"]
+    twist = ToralMonomialAuto(auto_from_grading(grading), (), (), field.one)
+    return LoopTower(alg, [TowerStage(twist, grading.modulus, grading.zeta)])
+
+
+def test_stabilizer_matches_the_window_oracle_on_one_stage():
+    tower = swap_loop_tower()
+    assert tower.degree_periods == (2,)
+    for radius in (0, 1, 2, 3):
+        assert_matches_window_oracle(tower, DegreeBox((radius,)))
+
+
+def test_stabilizer_matches_the_window_oracle_on_three_stages():
+    field = CycloField(2)
+    base = matrix_algebra(2, field)
+    one, zero = field.one, field.zero
+    autos = [
+        conjugation_auto(base, u)
+        for u in (((one, zero), (zero, -one)),
+                  ((zero, one), (one, zero)),
+                  ((zero, one), (-one, zero)))
+    ]
+    tower = multiloop(base, autos, [field.zeta] * 3)
+    assert tower.degree_periods == (2, 2, 2)
+    for radius in ((1, 1, 1), (2, 1, 0), (0, 1, 2), (2, 2, 1)):
+        assert_matches_window_oracle(tower, DegreeBox(radius))
+
+
+def test_stabilizer_matches_the_window_oracle_on_a_split_centroid():
+    # mat(2) + mat(2): two central idempotents, so the centroid is
+    # 2-dimensional and its maps are not scalars
+    field = CycloField(2)
+    half = matrix_algebra(2, field)
+    base = direct_sum(half, half)
+    assert len(centroid_algebra(base)[1]) == 2
+    one, zero = field.one, field.zero
+    d = conjugation_auto(half, ((one, zero), (zero, -one))).matrix
+    n = half.dim
+    both = tuple(
+        tuple(d[i % n][j % n] if i // n == j // n else zero
+              for j in range(2 * n))
+        for i in range(2 * n)
+    )
+    swap = tuple(
+        tuple(one if (i + n) % (2 * n) == j else zero for j in range(2 * n))
+        for i in range(2 * n)
+    )
+    autos = [FiniteOrderAuto(base, swap), FiniteOrderAuto(base, both)]
+    tower = multiloop(base, autos, [field.zeta] * 2)
+    for radius in _ORACLE_BOXES:
+        assert_matches_window_oracle(tower, DegreeBox(radius))
+
+
+@pytest.mark.parametrize("build,same_last", [
+    (lambda: quantum_torus_tower(2), True),
+    (lambda: quantum_torus_tower(2), False),
+    (lambda: hermitian_tower(1), False),
+], ids=["multiloop-first-variable", "multiloop-last-variable", "hermitian"])
+def test_stabilizer_refuses_a_member_of_two_degrees(build, same_last):
+    # the period argument needs members homogeneous in every variable
+    # (identity degree matrices) or in the outermost one; a window that
+    # breaks it raises a coded error, also under python -O
+    tower = build()["tower"]
+    box = DegreeBox((1, 1))
+    window = list(tower.basis_in_box(box))
+    first = window[0].degrees()[0]
+    other = next(
+        x for x in window[1:]
+        if (x.degrees()[0][-1] == first[-1]) == same_last
+        and x.degrees()[0] != first
+    )
+    window[0] = window[0].add(other)
+    tower._window_cache[box.radius] = window
+    with pytest.raises(InvariantViolated) as err:
+        stabilizer_in_box(tower, box)
+    assert err.value.code == "invariant-violated"
 
 
 def test_centroid_tower_matches_stabilizer_window():

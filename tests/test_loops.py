@@ -449,6 +449,49 @@ def test_synthetic_stage_periods_match_validation():
 _REGISTRY = fixture_registry()
 
 
+# -- degree periods ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(_REGISTRY))
+def test_degree_periods_shift_the_tower_onto_itself(name):
+    tower = _REGISTRY[name]["tower"]
+    assert tower.degree_periods[-1] == tower.stages[-1].modulus
+    identity = all(
+        s.twist.m_matrix == tuple(
+            tuple(int(i == j) for j in range(s.twist.arity))
+            for i in range(s.twist.arity)
+        )
+        for s in tower.stages
+    )
+    assert (None not in tower.degree_periods) == identity
+    window = tower.basis_in_box(tower.default_box())
+    for p, period in enumerate(tower.degree_periods):
+        if period is None:
+            continue
+        assert period % tower.stages[p].modulus == 0
+        for sign in (1, -1):
+            offset = tuple(sign * period if q == p else 0
+                           for q in range(tower.n))
+            for x in window:
+                assert tower_membership(tower, x.shift(offset))
+
+
+def test_first_kind_period_exceeds_the_modulus_when_the_character_does():
+    # synthetic-a3: m1 = 1, and the second character zeta_4^(j1) is
+    # trivial on z1^t only for 4 | t, so t_1 = 4 and shifting by m1 fails
+    fix = _REGISTRY["synthetic-a3"]
+    tower = fix["tower"]
+    assert (fix["m1"], fix["c1"], fix["r"]) == (1, 1, 4)
+    assert tower.degree_periods == (4, 4)
+    window = tower.basis_in_box(tower.default_box())
+    assert not all(
+        tower_membership(tower, x.shift((fix["m1"], 0))) for x in window
+    )
+    assert _REGISTRY["synthetic-a4"]["tower"].degree_periods == (2, 4)
+    assert _REGISTRY["quantum-torus-3"]["tower"].degree_periods == (3, 3)
+    assert _REGISTRY["hermitian-2"]["tower"].degree_periods == (None, 2)
+
+
 @pytest.mark.parametrize(
     "name,p",
     [(name, p) for name, fix in _REGISTRY.items()

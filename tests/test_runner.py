@@ -284,6 +284,28 @@ def test_canonical_form_superscript_label():
     assert got["error"]["code"] == "unknown-basis-label"
 
 
+def test_canonical_form_label_with_thousands_of_digits():
+    # int() refuses strings over 4,300 digits; the label is still only an
+    # unknown name, and leading zeros still name a basis vector
+    def canonical_form_of(label):
+        return entry(run_source(
+            "field zeta 2;\n"
+            "algebra A = mat(2);\n"
+            "auto sd = conj(A, [[1, 0], [0, -1]]);\n"
+            "tower T = multiloop(A, [sd]);\n"
+            f"canonical-form T of {label} * z(1);\n"
+        ), "canonical-form")
+
+    for label in ("e" + "1" * 5000, "e" + "0" * 5000 + "12"):
+        got = canonical_form_of(label)
+        assert got["ok"] is False
+        assert got["error"]["code"] == "unknown-basis-label"
+    plain = canonical_form_of("e1")
+    assert plain["ok"] is True
+    for label in ("e01", "e" + "0" * 5000 + "1"):
+        assert canonical_form_of(label) == plain
+
+
 # -- each structural fact once ----------------------------------------------
 
 
