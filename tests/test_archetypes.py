@@ -11,6 +11,7 @@ from helpers import (
     reference_joint_eigenspaces,
     zero_algebra,
 )
+from loomalg import findim
 from loomalg.archetypes import (
     Archetype,
     RootSystemData,
@@ -21,7 +22,6 @@ from loomalg.archetypes import (
     registry_label_valid,
     tower_type,
 )
-from loomalg import findim
 from loomalg.errors import HypothesisNotMet, NotLie, NotSimple, NotSplit
 from loomalg.exactnum import CycloField
 from loomalg.findim import (
