@@ -292,6 +292,8 @@ def _classify_diagram(cartan_matrix):
                 frontier.append(y)
     if len(seen) != r:
         raise Undecided("diagram is disconnected")
+    if len(bonds) != r - 1:
+        raise Undecided("diagram has a cycle")
     if any(b == 3 for b in bonds.values()):
         if r == 2 and len(bonds) == 1:
             return "G2"
@@ -334,14 +336,13 @@ def _classify_diagram(cartan_matrix):
 
 
 def _branch_length(adj, center, first):
+    """Nodes on the path from `first` away from `center`, the only branch."""
     length = 1
     prev, cur = center, first
     while True:
         nxt = [x for x in adj[cur] if x != prev]
         if not nxt:
             return length
-        if len(nxt) > 1:
-            raise Undecided("nested branch point in diagram")
         prev, cur = cur, nxt[0]
         length += 1
 

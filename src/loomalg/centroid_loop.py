@@ -229,9 +229,7 @@ def stabilizer_in_box(tower: LoopTower, box: DegreeBox) -> StabilizerBasis:
         columns = []
         for d, s in keys:
             u = LaurentElement.monomial(
-                field, tower.n, r, d,
-                tuple(field.one if q == s else field.zero
-                      for q in range(r)),
+                field, tower.n, r, d, calg.basis_vector(s)
             )
             column = {}
             for t, x in enumerate(members):
@@ -412,8 +410,7 @@ def untwist_check(tower: LoopTower, box: DegreeBox):
         for i in range(tower.base.dim):
             y = LaurentElement.monomial(
                 field, tower.n, tower.base.dim, d,
-                tuple(field.one if q == i else field.zero
-                      for q in range(tower.base.dim)),
+                tower.base.basis_vector(i),
             )
             fam = canonical_form(tower, y)
             if canonical_reconstruct(tower, fam) != y:
@@ -457,8 +454,7 @@ def kind_classify(tower: LoopTower) -> KindVerdict:
     if not (is_simple(base) and is_central(base)):
         raise HypothesisNotMet("kind requires a central simple base")
     m1, m2 = tower.moduli()
-    stage2 = tower.stages[1]
-    twist2 = stage2.twist
+    twist2 = tower.stages[1].twist
     field = tower.field
     maps = centroid_algebra(base)[1]
     mono_sign = twist2.m_matrix[0][0]
@@ -482,14 +478,8 @@ def kind_classify(tower: LoopTower) -> KindVerdict:
         )
     rho = twist2.character_value((m1,))
     if first_by_monomial:
-        e = next(
-            (t for t in range(m2) if stage2.zeta**t == rho), None
-        )
-        if e is None:
-            raise HypothesisNotMet(
-                "character value at the first modulus is not a root of "
-                "unity of the second modulus"
-            )
+        # z1^(m1) z2^e stabilizes exactly when zeta_2^e = rho
+        e = hits[0]
         p2 = gcd(e, m2)
         n2 = m2 // p2
         r_prime = e // p2

@@ -182,15 +182,6 @@ class LaurentElement:
         """Sorted distinct exponents of the last variable."""
         return sorted({deg[-1] for deg in self.support})
 
-    def slice_last(self, j: int) -> "LaurentElement":
-        """Coefficient of z_p^j, as an element one variable shorter."""
-        if self.arity == 0:
-            raise DimensionMismatch("arity-0 element has no variables to slice")
-        support = {
-            deg[:-1]: vec for deg, vec in self.support.items() if deg[-1] == j
-        }
-        return LaurentElement(self.field, self.arity - 1, self.base_dim, support)
-
     def tensor_last(self, j: int) -> "LaurentElement":
         """Append one variable, placing everything in exponent j."""
         support = {deg + (int(j),): vec for deg, vec in self.support.items()}
@@ -374,14 +365,19 @@ class ToralMonomialAuto:
         return self.zeta ** (e % self.root_order)
 
     def apply(self, x: LaurentElement) -> LaurentElement:
-        if x.arity != self.arity:
+        """The twist on the coefficients and the first `arity` variables of
+        x; any later variables ride along unchanged, so a stage twist acts
+        on elements of every later stage of its tower."""
+        k = self.arity
+        if x.arity < k:
             raise DimensionMismatch(
-                f"twist expects arity {self.arity}, element has {x.arity}"
+                f"twist expects arity at least {k}, element has {x.arity}"
             )
         support = {}
         for deg, vec in x.support.items():
-            img = vec_scale(self.character_value(deg), self.theta.apply(vec))
-            ndeg = self.degree_image(deg)
+            head = deg[:k]
+            img = vec_scale(self.character_value(head), self.theta.apply(vec))
+            ndeg = self.degree_image(head) + deg[k:]
             cur = support.get(ndeg)
             support[ndeg] = img if cur is None else vec_add(cur, img)
         return LaurentElement(x.field, x.arity, x.base_dim, support)
@@ -586,23 +582,23 @@ class LoopTower:
 
 
 def tower_membership(tower: LoopTower, x: LaurentElement) -> bool:
-    """Recursive eigenvalue test; exact, no window involved.  The routine
-    that decides membership of a given element (member_projection poses
-    the linear systems in unknown ones)."""
+    """Stage-by-stage test; exact, no window involved.  x is a member
+    exactly when, for every stage p, sigma_p (acting on the first p - 1
+    variables) scales each monomial of x by zeta_p^(g_p), g_p its z_p
+    exponent; the first failing stage decides.  The routine that decides
+    membership of a given element (member_projection poses the linear
+    systems in unknown ones)."""
     if x.arity != tower.n:
         raise DimensionMismatch(
             f"element arity {x.arity}, tower has {tower.n} stages"
         )
-    if tower.n == 0:
-        return True
-    stage = tower.stages[-1]
-    for j in x.last_degrees():
-        piece = x.slice_last(j)
-        if not tower_membership(tower.parent, piece):
-            return False
-        if stage.twist.apply(piece) != piece.scale(
-            stage.zeta ** (j % stage.modulus)
-        ):
+    for p, stage in enumerate(tower.stages):
+        zeta, m = stage.zeta, stage.modulus
+        want = {
+            deg: vec_scale(zeta ** (deg[p] % m), vec)
+            for deg, vec in x.support.items()
+        }
+        if stage.twist.apply(x).support != want:
             return False
     return True
 
@@ -610,9 +606,9 @@ def tower_membership(tower: LoopTower, x: LaurentElement) -> bool:
 def member_projection(tower: LoopTower, y: LaurentElement) -> LaurentElement:
     """Linear idempotent projection whose fixed points are the members.
 
-    Recursively projects each outer-variable slice into the previous stage,
-    then onto the twist eigenspace its exponent demands.  The image always
-    lies in the tower (twists stabilize earlier stages), so y is a member
+    Applies E_1, then E_2, up to E_n, where E_p averages the stage twist
+    against the z_p exponent (see _project_once).  The image always lies
+    in the tower (twists stabilize earlier stages), so y is a member
     exactly when member_projection(tower, y) == y; the defect y - P(y) is
     linear in y, which turns membership of unknown linear combinations into
     kernel systems (stabilizer_in_box, canonical_form); tower_membership
@@ -622,8 +618,6 @@ def member_projection(tower: LoopTower, y: LaurentElement) -> LaurentElement:
         raise DimensionMismatch(
             f"element arity {y.arity}, tower has {tower.n} stages"
         )
-    if tower.n == 0:
-        return y
     field = tower.field
     d = tower.base.dim
     support = {}
@@ -635,9 +629,7 @@ def member_projection(tower: LoopTower, y: LaurentElement) -> LaurentElement:
             cached = memo.get((g, i))
             if cached is None:
                 mono = LaurentElement.monomial(
-                    field, tower.n, d, g,
-                    tuple(field.one if q == i else field.zero
-                          for q in range(d)),
+                    field, tower.n, d, g, tower.base.basis_vector(i)
                 )
                 cached = _project_once(tower, mono)
                 memo[(g, i)] = cached
@@ -650,24 +642,30 @@ def member_projection(tower: LoopTower, y: LaurentElement) -> LaurentElement:
 
 
 def _project_once(tower: LoopTower, y: LaurentElement) -> LaurentElement:
-    stage = tower.stages[-1]
-    twist, m, zeta = stage.twist, stage.modulus, stage.zeta
-    inv_m = tower.field.from_rational(Fraction(1, m))
-    out = LaurentElement.zero(tower.field, tower.n, tower.base.dim)
-    for j in y.last_degrees():
-        piece = member_projection(tower.parent, y.slice_last(j))
-        if piece.is_zero():
-            continue
-        comp = LaurentElement.zero(tower.field, tower.n - 1, tower.base.dim)
-        cur = piece
+    """E_n ... E_1 y, where E_p = (1/m_p) sum_t zeta_p^(-g_p t) sigma_p^t
+    on each monomial of z_p exponent g_p.  sigma_p keeps the exponents from
+    the p-th on, so applied innermost first this unrolls the recursion
+    L_n = L(L_(n-1), sigma_n)."""
+    field = tower.field
+    for p, stage in enumerate(tower.stages):
+        twist, m, zeta = stage.twist, stage.modulus, stage.zeta
+        inv_m = field.from_rational(Fraction(1, m))
+        acc = {}
+        cur = y
         for t in range(m):
             if t:
                 cur = twist.apply(cur)
-            comp = comp.add(cur.scale(zeta ** (-j * t % m)))
-        comp = comp.scale(inv_m)
-        if not comp.is_zero():
-            out = out.add(comp.tensor_last(j))
-    return out
+            for deg, vec in cur.support.items():
+                v = vec_scale(zeta ** (-deg[p] * t % m), vec)
+                a = acc.get(deg)
+                acc[deg] = v if a is None else vec_add(a, v)
+        y = LaurentElement(
+            field, tower.n, tower.base.dim,
+            {deg: vec_scale(inv_m, v) for deg, v in acc.items()},
+        )
+        if y.is_zero():
+            break
+    return y
 
 
 def canonical_form(tower: LoopTower, y: LaurentElement):

@@ -37,6 +37,77 @@ from loomalg.loops import (
 )
 
 
+def slice_tail(x: LaurentElement, k: int):
+    """x grouped by the exponents of its variables after the k-th: each
+    tail of exponents maps to its coefficient, an element of arity k."""
+    groups = {}
+    for deg, vec in x.support.items():
+        groups.setdefault(deg[k:], {})[deg[:k]] = vec
+    return {
+        tail: LaurentElement(x.field, k, x.base_dim, support)
+        for tail, support in groups.items()
+    }
+
+
+def join_tail(field, arity, base_dim, pieces) -> LaurentElement:
+    """Inverse of slice_tail: the sum of each piece times its tail."""
+    support = {}
+    for tail, piece in pieces.items():
+        for deg, vec in piece.support.items():
+            support[deg + tail] = vec
+    return LaurentElement(field, arity, base_dim, support)
+
+
+def sliced_apply(twist, x: LaurentElement) -> LaurentElement:
+    """Oracle for ToralMonomialAuto.apply on an element with more variables
+    than the twist: apply it to the coefficient of each tail of the later
+    exponents, an element of the twist's own arity, and put it back."""
+    pieces = {
+        tail: twist.apply(piece)
+        for tail, piece in slice_tail(x, twist.arity).items()
+    }
+    return join_tail(x.field, x.arity, x.base_dim, pieces)
+
+
+def recursive_membership(tower, x: LaurentElement) -> bool:
+    """Oracle for loops.tower_membership: each z_n slice must be a member
+    of the parent tower and an eigenvector of the last twist for the
+    eigenvalue its exponent demands."""
+    if tower.n == 0:
+        return True
+    stage = tower.stages[-1]
+    for (j,), piece in slice_tail(x, tower.n - 1).items():
+        if not recursive_membership(tower.parent, piece):
+            return False
+        if stage.twist.apply(piece) != piece.scale(
+            stage.zeta ** (j % stage.modulus)
+        ):
+            return False
+    return True
+
+
+def recursive_projection(tower, y: LaurentElement) -> LaurentElement:
+    """Oracle for loops.member_projection: project each z_n slice into the
+    parent tower, then onto the twist eigenspace its exponent demands,
+    (1/m) sum_t zeta^(-j t) sigma^t, and tensor it back; no memo."""
+    if tower.n == 0:
+        return y
+    stage = tower.stages[-1]
+    twist, m, zeta = stage.twist, stage.modulus, stage.zeta
+    field = tower.field
+    inv_m = field.from_rational(Fraction(1, m))
+    pieces = {}
+    for (j,), piece in slice_tail(y, tower.n - 1).items():
+        cur = recursive_projection(tower.parent, piece)
+        comp = LaurentElement.zero(field, tower.n - 1, tower.base.dim)
+        for t in range(m):
+            if t:
+                cur = twist.apply(cur)
+            comp = comp.add(cur.scale(zeta ** (-j * t % m)))
+        pieces[(j,)] = comp.scale(inv_m)
+    return join_tail(field, tower.n, tower.base.dim, pieces)
+
+
 def zero_algebra(n, field):
     """The n-dimensional algebra with every product zero."""
     z = tuple(zero_vector(field, n) for _ in range(n))

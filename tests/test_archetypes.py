@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +16,7 @@ from loomalg import findim
 from loomalg.archetypes import (
     Archetype,
     RootSystemData,
+    _classify_diagram,
     _find_cartan,
     algebra_type,
     associative_type,
@@ -22,7 +24,13 @@ from loomalg.archetypes import (
     registry_label_valid,
     tower_type,
 )
-from loomalg.errors import HypothesisNotMet, NotLie, NotSimple, NotSplit
+from loomalg.errors import (
+    HypothesisNotMet,
+    NotLie,
+    NotSimple,
+    NotSplit,
+    Undecided,
+)
 from loomalg.exactnum import CycloField
 from loomalg.findim import (
     StructureAlgebra,
@@ -208,6 +216,116 @@ def test_seed_determinism():
     second = lie_split_type(a, seed=7)
     assert first.as_report() == second.as_report()
     assert first.data.cartan_matrix == second.data.cartan_matrix
+
+
+# -- Dynkin diagrams --------------------------------------------------------
+
+
+def _vec(n, terms):
+    out = [Fraction(0)] * n
+    for i, c in terms.items():
+        out[i] = Fraction(c)
+    return out
+
+
+def _chain(n, count):
+    """e_k - e_(k+1) for k < count, in n coordinates."""
+    return [_vec(n, {k: 1, k + 1: -1}) for k in range(count)]
+
+
+def _simple_roots(label):
+    """Bourbaki's simple roots of each registry type, as rational vectors."""
+    family, r = label[0], int(label[1:])
+    half = Fraction(1, 2)
+    if family == "A":
+        return _chain(r + 1, r)
+    if family in "BCD":
+        last = {"B": {r - 1: 1}, "C": {r - 1: 2},
+                "D": {r - 2: 1, r - 1: 1}}[family]
+        return _chain(r, r - 1) + [_vec(r, last)]
+    if family == "E":
+        e8 = [
+            _vec(8, {0: half, 7: half, **{k: -half for k in range(1, 7)}}),
+            _vec(8, {0: 1, 1: 1}),
+        ] + [_vec(8, {k - 2: 1, k - 3: -1}) for k in range(3, 9)]
+        return e8[:r]
+    if family == "F":
+        return [_vec(4, {1: 1, 2: -1}), _vec(4, {2: 1, 3: -1}),
+                _vec(4, {3: 1}), _vec(4, {0: half, 1: -half, 2: -half,
+                                          3: -half})]
+    return [_vec(3, {0: 1, 1: -1}), _vec(3, {0: -2, 1: 1, 2: 1})]  # G2
+
+
+def _cartan_matrix(roots):
+    """Entry (i, j) is <alpha_j, alpha_i^vee> = 2 (alpha_j, alpha_i) /
+    (alpha_i, alpha_i), as lie_split_type reads it off root strings."""
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    out = []
+    for a in roots:
+        row = [2 * dot(b, a) / dot(a, a) for b in roots]
+        if any(x.denominator != 1 for x in row):
+            raise ValueError("not a Cartan matrix")
+        out.append(tuple(int(x) for x in row))
+    return tuple(out)
+
+
+def _shuffled(matrix, rng):
+    order = list(range(len(matrix)))
+    rng.shuffle(order)
+    return tuple(tuple(matrix[i][j] for j in order) for i in order)
+
+
+@pytest.mark.parametrize("label", [
+    "A1", "A3", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "E6", "E7", "E8",
+    "F4", "G2",
+])
+def test_classify_diagram_names_every_registry_type(label):
+    rng = random.Random(label)
+    matrix = _cartan_matrix(_simple_roots(label))
+    assert registry_label_valid("Lie", label)
+    for _ in range(4):
+        assert _classify_diagram(_shuffled(matrix, rng)) == label
+
+
+def _simply_laced(r, edges):
+    return tuple(
+        tuple(2 if i == j else -int((i, j) in edges or (j, i) in edges)
+              for j in range(r))
+        for i in range(r)
+    )
+
+
+@pytest.mark.parametrize("matrix,message", [
+    (_simply_laced(3, {(0, 1)}), "diagram is disconnected"),
+    # affine A2: a triangle
+    (_simply_laced(3, {(0, 1), (1, 2), (2, 0)}), "diagram has a cycle"),
+    # affine D4: one node of degree 4
+    (_simply_laced(5, {(0, 1), (0, 2), (0, 3), (0, 4)}),
+     "diagram is not in the registry"),
+    # affine E6: three branches of length 2
+    (_simply_laced(7, {(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)}),
+     "diagram is not in the registry"),
+    # affine D5: two branch nodes
+    (_simply_laced(6, {(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)}),
+     "diagram is not in the registry"),
+    # affine G2: a triple bond at rank 3
+    (((2, -1, 0), (-1, 2, -1), (0, -3, 2)), "triple bond outside rank 2"),
+    # affine C2: two double bonds
+    (((2, -1, 0), (-2, 2, -2), (0, -1, 2)), "diagram is not in the registry"),
+    # affine F4: an interior double bond at rank 5
+    (((2, -1, 0, 0, 0), (-1, 2, -1, 0, 0), (0, -2, 2, -1, 0),
+      (0, 0, -1, 2, -1), (0, 0, 0, -1, 2)),
+     "interior double bond outside rank 4"),
+], ids=["disconnected", "cycle", "degree-4", "E6-affine", "two-branches",
+        "G2-affine", "two-doubles", "F4-affine"])
+def test_classify_diagram_refuses_diagrams_outside_the_registry(matrix,
+                                                                message):
+    with pytest.raises(Undecided) as err:
+        _classify_diagram(matrix)
+    assert str(err.value) == message
+    assert err.value.code == "undecided"
 
 
 # -- associative classification ---------------------------------------------

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loomalg.dsl import DIAGNOSTIC_CODES, Diagnostic, Span, format_document, parse
 
@@ -264,3 +266,220 @@ def test_malformed_lists_keep_their_diagnostics(name):
     body, want = MALFORMED_LISTS[name]
     result = parse(LIST_HEAD + body)
     assert [str(d) for d in result.diagnostics] == want
+
+
+# -- grammar property tests -------------------------------------------------
+
+_NAMES = ("A", "B", "C", "s", "t", "u", "G", "H", "T", "U", "V", "my-alg")
+_LABELS = ("e0", "e1", "E11", "E12", "h", "i")
+
+
+def _ints(values) -> str:
+    return ", ".join(str(v) for v in values)
+
+
+@st.composite
+def _scalar_text(draw, orders):
+    sign = draw(st.sampled_from(("", "-")))
+    zeta = ""
+    if draw(st.booleans()):
+        zeta = f"zeta({draw(st.sampled_from(orders))})"
+        if draw(st.booleans()):
+            zeta += f"^{draw(st.integers(-5, 5))}"
+        if draw(st.booleans()):
+            return sign + zeta
+    rat = str(draw(st.integers(0, 20)))
+    if draw(st.booleans()):
+        rat += f"/{draw(st.integers(1, 9))}"
+    return sign + rat + (f" * {zeta}" if zeta else "")
+
+
+def _matrix_text(draw, entry, rows, cols):
+    return "[" + ", ".join(
+        "[" + ", ".join(draw(entry) for _ in range(cols)) + "]"
+        for _ in range(rows)
+    ) + "]"
+
+
+@st.composite
+def loom_documents(draw):
+    """Document text drawn from the grammar.  Most statements are valid:
+    references name an earlier declaration of the right kind, and shapes,
+    sizes and root orders fit.  About one draw in thirty is a slip (an
+    unknown or reused name, a bad literal, a wrong shape, a missing
+    root), so the validator's diagnostics run too."""
+    def slip():
+        return draw(st.integers(0, 29)) == 0
+
+    order = draw(st.sampled_from((1, 2, 3, 4, 6, 12)))
+    divisors = [d for d in range(1, order + 1) if order % d == 0]
+    algebras, autos, gradings, towers = {}, [], [], {}
+    used = set()
+
+    def fresh():
+        free = [n for n in _NAMES if n not in used]
+        name = draw(st.sampled_from(_NAMES if slip() or not free else free))
+        used.add(name)
+        return name
+
+    def ref(pool):
+        if slip():
+            return draw(st.sampled_from(_NAMES))
+        return draw(st.sampled_from(sorted(pool)))
+
+    def modulus():
+        return 0 if slip() else draw(st.sampled_from(divisors))
+
+    def root_order():
+        return draw(st.sampled_from((5, 7) if slip() else divisors))
+
+    lines = [f"field zeta {0 if slip() else order};"]
+    # every document builds a tower and runs a command on it; the
+    # statements in between are drawn from what is declared so far
+    script = ["algebra", "auto", "tower"]
+    script += [None] * draw(st.integers(0, 10)) + ["build"]
+    for what in script:
+        if what is None:
+            options = ["field", "report"] + ["algebra"] * (4 - len(algebras))
+            options += ["auto"] * 3 + ["type"] + ["grading"] + ["tower"] * 3
+            options += ["check"] * bool(gradings)
+            options += ["build", "centroid", "untwist", "kind",
+                        "canonical-form"] * 2
+            what = draw(st.sampled_from(options))
+        if what == "field":
+            lines.append(f"field zeta {draw(st.sampled_from(divisors))};")
+        elif what == "algebra":
+            kind = draw(st.sampled_from(("mat", "sl", "unit", "quaternion")))
+            size = None
+            if kind in ("mat", "sl"):
+                size = 0 if slip() else draw(st.integers(
+                    1 if kind == "mat" else 2, 3))
+            name = fresh()
+            dim = {"mat": (size or 0) ** 2, "sl": (size or 0) ** 2 - 1,
+                   "unit": 1, "quaternion": 4}[kind]
+            algebras[name] = (kind, size, dim)
+            lines.append(
+                f"algebra {name} = {kind}({'' if size is None else size});")
+        elif what == "auto":
+            target = ref(algebras)
+            kind, size, dim = algebras.get(target, ("unit", None, 1))
+            choices = ["identity"]
+            if kind in ("mat", "sl") or slip():
+                choices.append("conj")
+            if dim <= 4:
+                choices.append("matrix")
+            op = draw(st.sampled_from(choices))
+            body = target
+            if op != "identity":
+                n = (size or 2) if op == "conj" else dim
+                rows, cols = (draw(st.integers(1, 3)),) * 2 if slip() \
+                    else (n, n)
+                body += ", " + _matrix_text(
+                    draw, _scalar_text([root_order()]), rows, max(cols, 1))
+            name = fresh()
+            autos.append(name)
+            lines.append(f"auto {name} = {op}({body});")
+        elif what == "grading":
+            mod = f", {modulus()}" if draw(st.booleans()) else ""
+            name = fresh()
+            gradings.append(name)
+            lines.append(
+                f"grading {name} = eigenspaces({ref(autos)}{mod});")
+        elif what == "tower":
+            base = ref(algebras) if algebras else draw(st.sampled_from(_NAMES))
+            arity = draw(st.integers(1, 3))
+            if draw(st.booleans()):
+                names = _ints(ref(autos) for _ in range(arity))
+                body = f"multiloop({base}, [{names}])"
+            else:
+                stages = []
+                for p in range(arity):
+                    stage = f"stage({ref(autos)}, {modulus()}"
+                    if p and draw(st.integers(0, 3)):
+                        side = p + 1 if slip() else p
+                        stage += ", " + _matrix_text(
+                            draw, st.integers(-2, 2).map(str), side, side)
+                        c = [draw(st.integers(-3, 3)) for _ in range(p)]
+                        stage += f", [{_ints(c)}]"
+                        if draw(st.integers(0, 3)):
+                            stage += f", zeta({root_order()})"
+                    stages.append(stage + ")")
+                body = f"loop({base}, {', '.join(stages)})"
+            name = fresh()
+            towers[name] = arity
+            lines.append(f"tower {name} = {body};")
+        elif what == "report":
+            if draw(st.booleans()):
+                radii = [draw(st.integers(-1 if slip() else 0, 3))
+                         for _ in range(draw(st.integers(1, 3)))]
+                lines.append(f"report box {_ints(radii)};")
+            else:
+                lines.append(f"report seed {draw(st.integers(0, 99))};")
+        elif what == "type":
+            pool = {**algebras, **towers}
+            lines.append(f"type {ref(pool)};")
+        elif what == "check":
+            lines.append(
+                f"check grading {ref(gradings)} on {ref(algebras)};")
+        else:
+            target = ref(towers)
+            arity = towers.get(target, 1) + (1 if slip() else 0)
+            if what == "build":
+                lines.append(f"build tower {target};")
+            elif what == "kind":
+                lines.append(f"kind {target};")
+            elif what in ("centroid", "untwist"):
+                box = ""
+                if draw(st.booleans()):
+                    radii = [draw(st.integers(0, 3)) for _ in range(arity)]
+                    box = f" box {_ints(radii)}"
+                lines.append(f"{what} {target}{box};")
+            else:
+                terms = []
+                for k in range(draw(st.integers(1, 3))):
+                    joiner = draw(st.sampled_from(
+                        ("", "-") if k == 0 else ("+", "-")))
+                    coeff = ""
+                    if draw(st.booleans()):
+                        coeff = draw(_scalar_text([root_order()])) + " * "
+                    label = draw(st.sampled_from(_LABELS))
+                    degree = _ints(draw(st.integers(-4, 4))
+                                   for _ in range(arity))
+                    terms.append(
+                        f"{joiner} {coeff}{label} * z({degree})".strip())
+                lines.append(
+                    f"canonical-form {target} of {' '.join(terms)};")
+    return "\n".join(lines) + "\n"
+
+
+def _check_parse(source):
+    """parse raises nothing and reports only documented codes; a parsed
+    document prints to a fixed point that parses back to itself."""
+    result = parse(source)
+    assert all(d.code in DIAGNOSTIC_CODES for d in result.diagnostics)
+    assert result.ok == (not result.errors)
+    if result.ok:
+        printed = format_document(result.document)
+        again = parse(printed)
+        assert again.document == result.document
+        assert format_document(again.document) == printed
+
+
+@settings(max_examples=100)
+@given(loom_documents())
+def test_grammar_documents_round_trip_through_the_printer(source):
+    _check_parse(source)
+
+
+@settings(max_examples=100)
+@given(loom_documents(), st.data())
+def test_damaged_documents_get_coded_diagnostics(source, data):
+    # delete a stretch of the text and insert a stray character, so the
+    # parser's recovery and the lexer's refusals run too
+    start = data.draw(st.integers(0, len(source)))
+    stop = data.draw(st.integers(start, min(len(source), start + 8)))
+    stray = data.draw(st.sampled_from(
+        ";=()[],+-*^/#\n 0aZ_²٣é$"))
+    at = data.draw(st.integers(0, len(source) - (stop - start)))
+    damaged = source[:start] + source[stop:]
+    _check_parse(damaged[:at] + stray + damaged[at:])

@@ -150,6 +150,56 @@ def test_fail_fast_stops_at_the_first_failure():
     assert len(report["commands"]) == 1
 
 
+# -- stage refusals ---------------------------------------------------------
+
+STAGE_REFUSALS = {
+    # conj by diag(1, i) has order 4, so sigma^2 moves E12 and E21
+    "period-first-stage": (
+        "field zeta 4;\nalgebra A = mat(2);\n"
+        "auto s = conj(A, [[1, 0], [0, zeta(4)]]);\n"
+        "tower T = loop(A, stage(s, 2));\n",
+        "invalid-grading",
+        "stage 1 twist does not satisfy sigma^2 = id (checked on box ())",
+    ),
+    "period-second-stage": (
+        "field zeta 4;\nalgebra A = mat(2);\nauto id = identity(A);\n"
+        "auto s = conj(A, [[1, 0], [0, zeta(4)]]);\n"
+        "tower T = loop(A, stage(id, 1), stage(s, 2));\n",
+        "invalid-grading",
+        "stage 2 twist does not satisfy sigma^2 = id (checked on box (2,))",
+    ),
+    "other-base": (
+        "field zeta 2;\nalgebra A = mat(2);\nalgebra B = mat(2);\n"
+        "auto s = identity(B);\ntower T = loop(A, stage(s, 1));\n",
+        "invalid-grading",
+        "stage 1 twist coefficients act on a different base",
+    ),
+    "determinant-not-a-unit": (
+        "field zeta 2;\nalgebra k = unit();\nauto id = identity(k);\n"
+        "tower T = loop(k, stage(id, 1), stage(id, 1, [[2]], [0]));\n",
+        "not-an-automorphism",
+        "degree matrix determinant 2 is not a unit",
+    ),
+    "infinite-order": (
+        "field zeta 2;\nalgebra k = unit();\nauto id = identity(k);\n"
+        "tower T = loop(k, stage(id, 1), stage(id, 1), "
+        "stage(id, 1, [[2, 1], [1, 1]], [0, 0]));\n",
+        "not-an-automorphism",
+        "degree matrix does not have finite order",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAGE_REFUSALS))
+def test_refused_stages_carry_code_and_message(name):
+    src, code, message = STAGE_REFUSALS[name]
+    report = run_source(src + "build tower T;\n")
+    assert report["ok"] is False
+    assert entry(report, "build tower")["error"] == {
+        "code": code, "message": message,
+    }
+
+
 # -- command content --------------------------------------------------------
 
 
