@@ -169,6 +169,16 @@ def _canonical(field, num, den):
     return CycloNumber(field, num, den)
 
 
+def _conjugate(num, images):
+    """sigma_k on an integer numerator row, images[i] being z^(k i)."""
+    out = [0] * len(num)
+    for x, row in zip(num, images):
+        if x:
+            for t, r in enumerate(row):
+                out[t] += x * r
+    return tuple(out)
+
+
 class CycloNumber:
     """An element of a fixed cyclotomic field, always kept reduced.
 
@@ -311,15 +321,19 @@ class CycloNumber:
         num = self.num
         prod = field.one
         for images in field._conj:
-            conj = [0] * field.degree
-            for x, row in zip(num, images):
-                if x:
-                    for t, r in enumerate(row):
-                        conj[t] += x * r
-            prod = prod * CycloNumber(field, tuple(conj), 1)
+            prod = prod * CycloNumber(field, _conjugate(num, images), 1)
         norm = (prod * CycloNumber(field, num, 1)).num[0]
         scale = self.den if norm > 0 else -self.den
         return _canonical(field, tuple(x * scale for x in prod.num), abs(norm))
+
+    def conjugates(self) -> tuple:
+        """The images sigma_k(self) under z -> z^k, for each unit k > 1
+        modulo N in increasing order; empty when the field is Q."""
+        field, num, den = self.field, self.num, self.den
+        # sigma_k maps the power basis of Z[z] onto a basis of Z[z], so the
+        # image keeps gcd(den, *num) == 1
+        return tuple(CycloNumber(field, _conjugate(num, images), den)
+                     for images in field._conj)
 
     def is_zero(self) -> bool:
         return not any(self.num)

@@ -337,10 +337,10 @@ class ToralMonomialAuto:
                 f"degree matrix determinant {det} is not a unit"
             )
         self.zeta = zeta
-        order = root_of_unity_order(zeta)
-        if order is None:
+        self.powers = _root_powers(zeta)
+        if self.powers is None:
             raise NotAnAutomorphism("character root is not a root of unity")
-        self.root_order = order
+        self.root_order = len(self.powers)
         ident = _int_identity(p)
         power = self.m_matrix
         for _ in range(_MATRIX_ORDER_CAP):
@@ -362,7 +362,7 @@ class ToralMonomialAuto:
 
     def character_value(self, degree) -> CycloNumber:
         e = sum(c * d for c, d in zip(self.c_vector, degree))
-        return self.zeta ** (e % self.root_order)
+        return self.powers[e % self.root_order]
 
     def apply(self, x: LaurentElement) -> LaurentElement:
         """The twist on the coefficients and the first `arity` variables of
@@ -376,7 +376,11 @@ class ToralMonomialAuto:
         support = {}
         for deg, vec in x.support.items():
             head = deg[:k]
-            img = vec_scale(self.character_value(head), self.theta.apply(vec))
+            img = self.theta.apply(vec)
+            e = sum(c * d for c, d in zip(self.c_vector, head))
+            e %= self.root_order
+            if e:
+                img = vec_scale(self.powers[e], img)
             ndeg = self.degree_image(head) + deg[k:]
             cur = support.get(ndeg)
             support[ndeg] = img if cur is None else vec_add(cur, img)
@@ -386,14 +390,31 @@ class ToralMonomialAuto:
         return f"<ToralMonomialAuto arity {self.arity}>"
 
 
+def _root_powers(zeta: CycloNumber):
+    """(1, zeta, ..., zeta^(o - 1)) for o the order of the root of unity
+    zeta, or None when zeta is not a root of unity."""
+    order = root_of_unity_order(zeta)
+    if order is None:
+        return None
+    powers = [zeta.field.one]
+    for _ in range(order - 1):
+        powers.append(powers[-1] * zeta)
+    return tuple(powers)
+
+
 class TowerStage:
-    __slots__ = ("twist", "modulus", "zeta")
+    """One stage: its twist, modulus m and root zeta.  powers holds zeta^t
+    for 0 <= t < m in a valid stage, whose root has order m (the tower
+    checks that)."""
+
+    __slots__ = ("twist", "modulus", "zeta", "powers")
 
     def __init__(self, twist: ToralMonomialAuto, modulus: int,
                  zeta: CycloNumber):
         self.twist = twist
         self.modulus = modulus
         self.zeta = zeta
+        self.powers = _root_powers(zeta)
 
 
 class LoopTower:
@@ -463,7 +484,7 @@ class LoopTower:
         and the stage's actual period."""
         p = self.n
         stage = self.stages[-1]
-        twist, m, zeta = stage.twist, stage.modulus, stage.zeta
+        twist, m = stage.twist, stage.modulus
         if m < 1:
             raise InvalidGrading(f"stage {p} modulus must be positive")
         if twist.arity != p - 1:
@@ -474,7 +495,7 @@ class LoopTower:
             raise InvalidGrading(
                 f"stage {p} twist coefficients act on a different base"
             )
-        order = root_of_unity_order(zeta)
+        order = None if stage.powers is None else len(stage.powers)
         if order != m:
             raise InvalidGrading(
                 f"stage {p} root has order {order}, expected {m}"
@@ -553,13 +574,13 @@ class LoopTower:
         cached = self._eigen_cache.get(prefix_box.radius)
         if cached is not None:
             return cached
-        twist, m, zeta = stage.twist, stage.modulus, stage.zeta
+        twist, m = stage.twist, stage.modulus
         field = self.field
         images = [twist.apply(b) for b in window]
         keys = range(len(window))
         result = {}
         for ell in range(m):
-            lam = zeta**ell
+            lam = stage.powers[ell]
             columns = [
                 img.sub(b.scale(lam)).sparse_items()
                 for b, img in zip(window, images)
@@ -593,9 +614,9 @@ def tower_membership(tower: LoopTower, x: LaurentElement) -> bool:
             f"element arity {x.arity}, tower has {tower.n} stages"
         )
     for p, stage in enumerate(tower.stages):
-        zeta, m = stage.zeta, stage.modulus
+        powers, m = stage.powers, stage.modulus
         want = {
-            deg: vec_scale(zeta ** (deg[p] % m), vec)
+            deg: vec_scale(powers[deg[p] % m], vec) if deg[p] % m else vec
             for deg, vec in x.support.items()
         }
         if stage.twist.apply(x).support != want:
@@ -648,7 +669,7 @@ def _project_once(tower: LoopTower, y: LaurentElement) -> LaurentElement:
     L_n = L(L_(n-1), sigma_n)."""
     field = tower.field
     for p, stage in enumerate(tower.stages):
-        twist, m, zeta = stage.twist, stage.modulus, stage.zeta
+        twist, m, powers = stage.twist, stage.modulus, stage.powers
         inv_m = field.from_rational(Fraction(1, m))
         acc = {}
         cur = y
@@ -656,7 +677,8 @@ def _project_once(tower: LoopTower, y: LaurentElement) -> LaurentElement:
             if t:
                 cur = twist.apply(cur)
             for deg, vec in cur.support.items():
-                v = vec_scale(zeta ** (-deg[p] * t % m), vec)
+                e = -deg[p] * t % m
+                v = vec_scale(powers[e], vec) if e else vec
                 a = acc.get(deg)
                 acc[deg] = v if a is None else vec_add(a, v)
         y = LaurentElement(

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import sympy
+
 from loomalg import polyfactor
 from loomalg.archetypes import _centralizer_candidates, _weight_key
 from loomalg.centroid_loop import (
@@ -67,6 +69,23 @@ def sliced_apply(twist, x: LaurentElement) -> LaurentElement:
         for tail, piece in slice_tail(x, twist.arity).items()
     }
     return join_tail(x.field, x.arity, x.base_dim, pieces)
+
+
+def scaled_apply(twist, x: LaurentElement) -> LaurentElement:
+    """Oracle for ToralMonomialAuto.apply: every image scaled by
+    zeta^<c, j> raised by repeated squaring, trivial characters included."""
+    k = twist.arity
+    support = {}
+    for deg, vec in x.support.items():
+        head = deg[:k]
+        e = sum(c * d for c, d in zip(twist.c_vector, head))
+        img = vec_scale(twist.zeta ** (e % twist.root_order),
+                        twist.theta.apply(vec))
+        ndeg = tuple(sum(r * d for r, d in zip(row, head))
+                     for row in twist.m_matrix) + deg[k:]
+        cur = support.get(ndeg)
+        support[ndeg] = img if cur is None else vec_add(cur, img)
+    return LaurentElement(x.field, x.arity, x.base_dim, support)
 
 
 def recursive_membership(tower, x: LaurentElement) -> bool:
@@ -165,6 +184,79 @@ def peval(p, x):
     for c in reversed(p):
         acc = acc * x + c
     return acc
+
+
+# -- the sympy factoring oracle -------------------------------------------------
+#
+# The factoring path the package used before it factored in-house: sympy's
+# rational factorization and a bivariate resultant for Trager's norm.  Polys
+# are built straight from coefficients, never through sympy expressions.
+
+_X, _Y = sympy.symbols("_loom_x _loom_y")
+_QQ = sympy.QQ
+
+
+def _qq(q):
+    return _QQ(q.numerator, q.denominator)
+
+
+def _from_sympy_factor(poly, field):
+    out = []
+    for c in reversed(poly.all_coeffs()):
+        q = sympy.Rational(c)
+        out.append(field.from_rational(Fraction(int(q.p), int(q.q))))
+    return polyfactor.ptrim(out)
+
+
+def _sympy_norm(g, field):
+    """Resultant over the cyclotomic modulus: the field norm of g."""
+    phi = sympy.Poly.from_dict(
+        {(k, 0): _QQ(c) for k, c in enumerate(field.modulus) if c},
+        _Y, _X, domain=_QQ,
+    )
+    terms = {
+        (k, i): _qq(q)
+        for i, c in enumerate(g)
+        for k, q in enumerate(c.coeffs)
+        if q
+    }
+    return phi.resultant(sympy.Poly.from_dict(terms, _Y, _X, domain=_QQ))
+
+
+def _sympy_factor_squarefree(p, field):
+    pf = polyfactor
+    if pf.pdeg(p) <= 1:
+        return [pf.pmonic(p)]
+    if field.degree == 1:
+        rep = [_qq(c.as_rational()) for c in reversed(p)]
+        _, factors = sympy.Poly.from_list(rep, _X, domain=_QQ).factor_list()
+        return [pf.pmonic(_from_sympy_factor(f, field)) for f, _ in factors]
+    for s in range(0, 20 * field.degree):
+        g = pf.pshift(p, field.from_rational(-s) * field.zeta)
+        norm = _sympy_norm(g, field)
+        if norm.gcd(norm.diff(_X)).degree() > 0:
+            continue
+        back = field.from_rational(s) * field.zeta
+        out = []
+        for fac, _mult in norm.factor_list()[1]:
+            cand = pf.pgcd(g, _from_sympy_factor(fac, field))
+            if pf.pdeg(cand) >= 1:
+                out.append(pf.pmonic(pf.pshift(cand, back)))
+        return out
+    raise AssertionError("no squarefree norm shift")
+
+
+def sympy_factor(p, field):
+    """Oracle for polyfactor.factor through sympy: monic irreducible
+    factors with multiplicities, in factor's order."""
+    out = [
+        (f, k)
+        for g, k in polyfactor.squarefree_decomposition(p)
+        for f in _sympy_factor_squarefree(g, field)
+    ]
+    out.sort(key=lambda fk: (polyfactor.pdeg(fk[0]),
+                             tuple(c.coeffs for c in fk[0])))
+    return out
 
 
 def element_from_box_coordinates(field, base_dim, box: DegreeBox, flat):

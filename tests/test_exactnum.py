@@ -102,6 +102,28 @@ def test_axioms_inverse(a):
             a.inverse()
 
 
+@pytest.mark.parametrize("n", [1, 3, 5, 8, 12])
+def test_conjugates_are_the_galois_images(n):
+    # sigma_k(zeta) = zeta^k for the units k > 1, in increasing order
+    field = CycloField(n)
+    units = [k for k in range(2, n) if gcd(k, n) == 1]
+    assert field.zeta.conjugates() == tuple(field.zeta**k for k in units)
+
+
+@given(a=elements(F12), b=elements(F12))
+def test_conjugation_is_a_ring_map_with_a_rational_norm(a, b):
+    for sa, sb, sab, ssum in zip(a.conjugates(), b.conjugates(),
+                                 (a * b).conjugates(), (a + b).conjugates()):
+        assert sa * sb == sab and sa + sb == ssum
+        assert_canonical(sa)
+    norm = a
+    for sa in a.conjugates():
+        norm = norm * sa
+    assert norm.is_rational()
+    if a:
+        assert a.inverse() == norm.inverse() * (norm / a)
+
+
 @given(a=elements(F4), b=elements(F4))
 def test_axioms_commutativity_and_negation(a, b):
     assert a * b == b * a

@@ -12,6 +12,7 @@ from helpers import (
     intersect,
     recursive_membership,
     recursive_projection,
+    scaled_apply,
     sliced_apply,
 )
 from loomalg import loops
@@ -611,6 +612,32 @@ def test_stage_loops_match_the_recursive_oracles(name):
         shifted = members[0].shift(tuple(int(q == p) for q in range(tower.n)))
         assert tower_membership(tower, shifted) == recursive_membership(
             tower, shifted)
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_TOWERS))
+def test_root_power_tables_match_powers_of_the_root(name):
+    # stages and twists read zeta^t from a table, and a twist skips the
+    # scaling where its character is 1 (on every multiloop stage); the
+    # oracle raises zeta to each power and always scales
+    rng = random.Random(SEED + 7)
+    tower = _ORACLE_TOWERS[name]()
+    box = tower.default_box()
+    elements = [rand_member(rng, tower, box) for _ in range(2)] + [
+        rand_window_element(rng, tower.field, tower.n, tower.base.dim, box)
+        for _ in range(2)
+    ]
+    for stage in tower.stages:
+        twist = stage.twist
+        assert stage.powers == tuple(
+            stage.zeta**t for t in range(stage.modulus))
+        assert twist.powers == tuple(
+            twist.zeta**t for t in range(twist.root_order))
+        for x in elements:
+            assert twist.apply(x) == scaled_apply(twist, x)
+            for deg in x.degrees():
+                e = sum(c * d for c, d in zip(twist.c_vector, deg))
+                assert twist.character_value(deg) == twist.zeta ** (
+                    e % twist.root_order)
 
 
 def test_stage_twist_refuses_a_shorter_element():

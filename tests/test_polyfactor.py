@@ -10,9 +10,10 @@ import sys
 from fractions import Fraction
 
 import pytest
-import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import peval
+from helpers import peval, sympy_factor
 from loomalg import polyfactor
 from loomalg.errors import LoomError
 from loomalg.exactnum import CycloField, primitive_root
@@ -169,10 +170,9 @@ def test_roots_in_field_finds_order_three_roots():
 
 def test_exhausted_norm_shift_search_is_undecided(monkeypatch):
     # every shifted norm has a repeated root, so no shift can be used
-    x = polyfactor._x
     monkeypatch.setattr(
         polyfactor, "_norm_to_rational",
-        lambda g, field: sympy.Poly((x - 1) ** 2, x, domain="QQ"),
+        lambda g, field: [Fraction(1), Fraction(-2), Fraction(1)],  # (x-1)^2
     )
     p = [F4.one, F4.zero, F4.one]  # x^2 + 1, squarefree
     with pytest.raises(LoomError) as info:
@@ -180,21 +180,130 @@ def test_exhausted_norm_shift_search_is_undecided(monkeypatch):
     assert info.value.code == "undecided"
 
 
+# -- the in-house factorizer against the sympy oracle -----------------------
+
+
+def rational_poly(field, coeffs):
+    return [field.from_rational(Fraction(c)) for c in coeffs]
+
+
+@st.composite
+def small_products(draw):
+    """A product of one to three small factors over Q(zeta_N), a factor
+    possibly repeated, of total degree at most 4."""
+    field = CycloField(draw(st.sampled_from((1, 3, 4, 5, 8, 12))))
+    small = st.integers(-2, 2)
+
+    def element():
+        num = draw(st.lists(small, min_size=1, max_size=field.degree))
+        return field.from_coeffs(
+            [Fraction(n, draw(st.sampled_from((1, 1, 2)))) for n in num])
+
+    parts = []
+    degree = 0
+    for _ in range(draw(st.integers(1, 3))):
+        deg = draw(st.integers(1, min(2, 4 - degree)))
+        part = [element() for _ in range(deg)] + [element() or field.one]
+        parts.append(part)
+        degree += deg
+        if degree == 4:
+            break
+    if degree < 4 and draw(st.booleans()):
+        parts.append(parts[0])
+    return field, product(field, parts)
+
+
+@settings(max_examples=30)
+@given(small_products())
+def test_factor_agrees_with_the_sympy_oracle(case):
+    field, p = case
+    assert factor(p, field) == sympy_factor(p, field)
+
+
+SWINNERTON_DYER_8 = [576, 0, -960, 0, 352, 0, -40, 0, 1]
+
+
+@pytest.mark.parametrize("coeffs", [[1, 0, 0, 0, 1], SWINNERTON_DYER_8],
+                         ids=["x4+1", "swinnerton-dyer-8"])
+def test_irreducibles_that_split_mod_every_prime_are_recombined(coeffs):
+    # x^4 + 1 and the minimal polynomial of sqrt2 + sqrt3 + sqrt5 split
+    # modulo every prime, so only recombination shows them irreducible
+    _, modular = polyfactor._modular_factors(coeffs)
+    assert len(modular) > 1
+    p = rational_poly(F1, coeffs)
+    assert factor(p) == [(p, 1)] == sympy_factor(p, F1)
+
+
+def test_x4_plus_1_over_cyclotomic_fields():
+    # linear over Q(zeta_8), x^2 +- i over Q(zeta_4), whole over Q(zeta_3)
+    for n, degrees in ((8, [1, 1, 1, 1]), (4, [2, 2]), (3, [4])):
+        field = CycloField(n)
+        p = rational_poly(field, [1, 0, 0, 0, 1])
+        got = factor(p, field)
+        assert [pdeg(f) for f, _ in got] == degrees
+        assert got == sympy_factor(p, field)
+
+
+def test_non_monic_rational_input():
+    # (6x^2 + x - 2) / 5 = (6/5)(x - 1/2)(x + 2/3)
+    p = rational_poly(F1, [Fraction(-2, 5), Fraction(1, 5), Fraction(6, 5)])
+    want = [(rational_poly(F1, [Fraction(-1, 2), 1]), 1),
+            (rational_poly(F1, [Fraction(2, 3), 1]), 1)]
+    assert factor(p) == sympy_factor(p, F1)
+    assert sorted(factor(p), key=lambda fk: fk[0][0].coeffs) == want
+    p4 = rational_poly(F4, [Fraction(-2, 5), Fraction(1, 5), Fraction(6, 5)])
+    assert factor(p4, F4) == sympy_factor(p4, F4)
+
+
+def test_a_root_at_zero_is_pulled_out():
+    # x (x^2 - 2)(x + 3) over Q, and x (x^2 + 1) over Q(zeta_12)
+    p = product(F1, [rational_poly(F1, [0, 1]), rational_poly(F1, [-2, 0, 1]),
+                     rational_poly(F1, [3, 1])])
+    assert [pdeg(f) for f, _ in factor(p)] == [1, 1, 2]
+    assert factor(p) == sympy_factor(p, F1)
+    p12 = rational_poly(F12, [0, 1, 0, 1])
+    assert [pdeg(f) for f, _ in factor(p12, F12)] == [1, 1, 1]
+    assert factor(p12, F12) == sympy_factor(p12, F12)
+
+
+def test_coefficients_above_64_bits():
+    big = 2**70 + 1
+    p = product(F1, [
+        rational_poly(F1, [-big, 1]),
+        rational_poly(F1, [3**41, 0, 1]),
+        rational_poly(F1, [2**65, 7, 1]),
+    ])
+    got = factor(p)
+    assert got == sympy_factor(p, F1)
+    assert [pdeg(f) for f, _ in got] == [1, 2, 2]
+    assert got[0][0] == rational_poly(F1, [-big, 1])
+
+
+def test_recombination_budget_is_undecided(monkeypatch):
+    _, modular = polyfactor._modular_factors(SWINNERTON_DYER_8)
+    monkeypatch.setattr(polyfactor, "_SUBSET_BUDGET", 2)
+    with pytest.raises(LoomError) as info:
+        factor(rational_poly(F1, SWINNERTON_DYER_8))
+    assert info.value.code == "undecided"
+    assert (f"degree 8 polynomial from {len(modular)} modular factors"
+            in str(info.value))
+
+
 _FACTOR_ONLY = """
 import sys
+import loomalg
 from loomalg.exactnum import CycloField
 from loomalg.polyfactor import factor
 for n in (1, 12):
     f = CycloField(n)
     factor([f.from_rational(4), f.zero, f.from_rational(-5), f.zero, f.one])
-print(sorted(m for m in sys.modules if m.startswith(("sympy.tensor.tensor",
-                                                    "sympy.combinatorics"))))
+print(sorted(m for m in sys.modules if m.startswith("sympy")))
 """
 
 
-def test_factoring_stays_off_sympy_expressions():
-    # arithmetic on sympy expressions loads sympy's tensor and combinatorics
-    # modules, about 3 MB of resident memory; the bridge builds Polys only
+def test_factoring_does_not_import_sympy():
+    # factoring is done in-house; sympy is only the test oracle, and
+    # importing it would cost every process about 0.5 s and 35 MB
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

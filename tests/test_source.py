@@ -27,6 +27,26 @@ def test_no_bare_asserts_in_the_package():
     assert found == []
 
 
+def test_no_sympy_import_under_src():
+    # factoring is done in-house; sympy is a test oracle only, and importing
+    # it costs every process about half a second and 35 MB
+    paths = sorted(SRC.parent.rglob("*.py"))
+    assert paths, f"no sources under {SRC.parent}"
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "sympy"]
+    assert found == []
+
+
 def test_scalar_layout_stays_in_exactnum():
     # only exactnum builds a CycloNumber or reads its numerators and
     # denominator, so the layout can change without touching any caller
