@@ -31,7 +31,6 @@ from .linalg import (
     charpoly,
     column_kernel,
     kernel_basis,
-    mat_apply,
     vec_add,
     vec_is_zero,
     vec_scale,
@@ -140,15 +139,16 @@ def _split_blocks(op, blocks, field):
     """Eigenspaces of op inside each block, sorted by weight; None unless
     they fill every block.
 
-    op is ad z for a z that commutes with the family whose joint
-    eigenspaces the blocks are, so op preserves each block and its
+    op is the LinearMap ad z for a z that commutes with the family whose
+    joint eigenspaces the blocks are, so op preserves each block and its
     eigenvalues there are roots of its characteristic polynomial.  The
     blocks fill the space, so filling every block is the same as op being
     diagonalizable with all eigenvalues in the field."""
-    lams = [lam for lam, _ in polyfactor.roots_in_field(charpoly(op, field))]
+    lams = [lam for lam, _ in
+            polyfactor.roots_in_field(charpoly(op.matrix, field))]
     refined = []
     for weight, block in blocks:
-        images = [mat_apply(op, b) for b in block]
+        images = [op.apply(b) for b in block]
         filled = 0
         for lam in lams:
             columns = [
@@ -158,7 +158,7 @@ def _split_blocks(op, blocks, field):
             ]
             vecs = []
             for sol in column_kernel(range(len(block)), columns, field):
-                v = zero_vector(field, len(op))
+                v = zero_vector(field, op.dim)
                 for i, c in sol.items():
                     v = vec_add(v, vec_scale(c, block[i]))
                 vecs.append(v)
@@ -201,13 +201,13 @@ def _find_cartan(a: StructureAlgebra, seed: int):
                 )
             if span.contains(z):
                 continue
-            op = a.left_mult(z).matrix
+            op = a.left_mult(z)
             refined = _split_blocks(op, blocks, field)
             if refined is not None:
                 break
         family.append(z)
         span.add(z)
-        rows.extend(op)
+        rows.extend(op.matrix)
         blocks = refined
 
 
@@ -446,8 +446,8 @@ def _charpoly_sections(a: StructureAlgebra, x):
     factor struck; singular for split semisimple x, so they seed proper
     left ideals."""
     field = a.field
-    lx = a.left_mult(x).matrix
-    factors = polyfactor.factor(charpoly(lx, field), field)
+    lx = a.left_mult(x)
+    factors = polyfactor.factor(charpoly(lx.matrix, field), field)
     if len(factors) < 2:
         return []
     out = []
@@ -466,7 +466,7 @@ def _charpoly_sections(a: StructureAlgebra, x):
         for c in h:
             if c:
                 acc = vec_add(acc, vec_scale(c, power))
-            power = mat_apply(lx, power)
+            power = lx.apply(power)
         if not vec_is_zero(acc):
             out.append(acc)
     return out

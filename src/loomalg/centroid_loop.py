@@ -27,7 +27,6 @@ from .linalg import (
     SparseEchelon,
     Subspace,
     column_kernel,
-    mat_apply,
     vec_add,
     vec_is_zero,
     vec_scale,
@@ -111,8 +110,8 @@ def centroid_action(maps, u: LaurentElement, x: LaurentElement) -> LaurentElemen
     (chi (x) z^d) . (a (x) z^e) = chi(a) (x) z^(d+e), extended bilinearly.
     Maps whose `scalar` is set (c times the identity, as `centroid_algebra`
     decides for a central base) act without a matrix: per degree of u their
-    coefficients fold into one scalar that scales x; only the other maps go
-    through mat_apply."""
+    coefficients fold into one scalar that scales x; only the other maps are
+    applied, through their column form."""
     if u.arity != x.arity:
         raise LoomError("action arity mismatch", code="arity-mismatch")
     one = x.field.one
@@ -125,7 +124,7 @@ def centroid_action(maps, u: LaurentElement, x: LaurentElement) -> LaurentElemen
                 continue
             c = maps[s].scalar
             if c is None:
-                matrices.append((coeff, maps[s].matrix))
+                matrices.append((coeff, maps[s]))
             else:
                 scalar = scalar + coeff * c
         for dx, vx in x.support.items():
@@ -135,8 +134,8 @@ def centroid_action(maps, u: LaurentElement, x: LaurentElement) -> LaurentElemen
                 img = vx
             else:
                 img = vec_scale(scalar, vx)
-            for coeff, m in matrices:
-                term = vec_scale(coeff, mat_apply(m, vx))
+            for coeff, mp in matrices:
+                term = vec_scale(coeff, mp.apply(vx))
                 img = term if img is None else vec_add(img, term)
             # a nonzero scalar alone keeps the nonzero vector vx nonzero
             if img is None or (matrices and vec_is_zero(img)):

@@ -15,6 +15,7 @@ objects happens here; everything else is the runner's job.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field as dc_field
 from math import gcd
 
@@ -129,7 +130,9 @@ def _lex(source: str):
                 if (j < n - 1 and source[j] == "-"
                         and source[j + 1].isalpha()):
                     j += 1
-            text = source[i:j]
+            # interned: every parse of a name shares one string object, so
+            # parse trees kept together do not each hold their own copies
+            text = sys.intern(source[i:j])
             tokens.append(Token("name", text, line, start_col))
             col += j - i
             i = j

@@ -17,10 +17,11 @@ from .linalg import (
     SparseEchelon,
     Subspace,
     charpoly,
+    column_apply,
     identity_matrix,
     kernel_basis,
-    mat_apply,
     mat_mul,
+    sparse_columns,
     transpose,
     unit_vector,
     vec_add,
@@ -33,14 +34,17 @@ from . import polyfactor
 class LinearMap:
     """A linear endomorphism of a coordinate space; column j is the image of e_j.
 
+    `matrix` holds the rows; `columns` is its column form (linalg's
+    sparse_columns), built once here, and `apply` reads only that.
     `scalar` is c when the map is known to be c times the identity (set by
     `centroid_algebra` on the centroid basis it stores), else None."""
 
-    __slots__ = ("field", "matrix", "scalar")
+    __slots__ = ("field", "matrix", "columns", "scalar")
 
     def __init__(self, field: CycloField, matrix):
         self.field = field
         self.matrix = tuple(tuple(row) for row in matrix)
+        self.columns = sparse_columns(self.matrix)
         self.scalar = None
 
     @classmethod
@@ -52,7 +56,7 @@ class LinearMap:
         return len(self.matrix)
 
     def apply(self, vec):
-        return mat_apply(self.matrix, vec)
+        return column_apply(self.columns, vec)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         return LinearMap(self.field, mat_mul(self.matrix, other.matrix))
@@ -505,39 +509,46 @@ def is_pfgc_findim(a: StructureAlgebra) -> bool:
 
 def mult_algebra_basis(a: StructureAlgebra):
     """Basis of the multiplication algebra: the unital associative algebra of
-    endomorphisms generated by all left and right multiplications."""
+    endomorphisms generated by all left and right multiplications.
+
+    Accepted elements and the generators are held as sparse rows; each
+    product is formed sparsely, keyed by (row, column), and enters the
+    echelon as it is.  Only accepted products are densified."""
     n = a.dim
-    field = a.field
-    gens = [a.left_mult_matrix(i) for i in range(n)]
-    gens += [a.right_mult_matrix(i) for i in range(n)]
-    ident = identity_matrix(field, n)
+    zero = a.field.zero
+
+    def sparse_rows(m):
+        return [[(j, x) for j, x in enumerate(row) if x] for row in m]
+
+    gens = [sparse_rows(a.left_mult_matrix(i)) for i in range(n)]
+    gens += [sparse_rows(a.right_mult_matrix(i)) for i in range(n)]
+    ident = identity_matrix(a.field, n)
     ech = SparseEchelon()
-    basis = []
-
-    def sparse(m):
-        return {
-            (i, j): m[i][j]
-            for i in range(n)
-            for j in range(n)
-            if m[i][j]
-        }
-
-    queue = [ident]
-    ech.add_row(sparse(ident))
-    basis.append(ident)
+    ech.add_row({(i, i): a.field.one for i in range(n)})
+    basis = [ident]
+    queue = [sparse_rows(ident)]
     while queue:
         m = queue.pop()
         for g in gens:
-            prod = mat_mul(m, g)
-            if ech.add_row(sparse(prod)) is not None:
-                basis.append(prod)
-                queue.append(prod)
+            prod = {}
+            for i, row in enumerate(m):
+                for j, x in row:
+                    for k, y in g[j]:
+                        cur = prod.get((i, k))
+                        prod[i, k] = x * y if cur is None else cur + x * y
+            if ech.add_row(prod) is not None:
+                dense = tuple(
+                    tuple(prod.get((i, k), zero) for k in range(n))
+                    for i in range(n)
+                )
+                basis.append(dense)
+                queue.append(sparse_rows(dense))
     return basis
 
 
-def _module_span(matrices, v, field, n) -> Subspace:
-    # the matrices span a unital algebra, so one application is enough
-    return Subspace(field, n, [mat_apply(m, v) for m in matrices])
+def _module_span(columns, v, field, n) -> Subspace:
+    # the maps span a unital algebra, so one application is enough
+    return Subspace(field, n, [column_apply(c, v) for c in columns])
 
 
 _SIMPLE_SEED, _SIMPLE_TRIALS = 20260214, 25
@@ -567,10 +578,11 @@ def _is_simple(a: StructureAlgebra) -> bool:
         return False
     field = a.field
     basis_mats = mult_algebra_basis(a)
-    tbasis = [transpose(m) for m in basis_mats]
+    basis_cols = [sparse_columns(m) for m in basis_mats]
+    tbasis_cols = [sparse_columns(transpose(m)) for m in basis_mats]
 
     for i in range(n):
-        d = _module_span(basis_mats, a.basis_vector(i), field, n).dim
+        d = _module_span(basis_cols, a.basis_vector(i), field, n).dim
         if d < n:
             return False
 
@@ -601,15 +613,15 @@ def _is_simple(a: StructureAlgebra) -> bool:
             ftheta = _matrix_poly(f, theta, field)
             ker = kernel_basis(ftheta, n, field)
             for v in ker:
-                d = _module_span(basis_mats, v, field, n).dim
+                d = _module_span(basis_cols, v, field, n).dim
                 if 0 < d < n:
                     return False
             if mult == 1 and len(ker) == polyfactor.pdeg(f):
                 # multiplicity-one factor: one spin each way settles it
-                if _module_span(basis_mats, ker[0], field, n).dim < n:
+                if _module_span(basis_cols, ker[0], field, n).dim < n:
                     return False
                 tker = kernel_basis(_matrix_poly(f, transpose(theta), field), n, field)
-                if _module_span(tbasis, tker[0], field, n).dim < n:
+                if _module_span(tbasis_cols, tker[0], field, n).dim < n:
                     return False
                 return True
     raise Undecided(

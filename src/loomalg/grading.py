@@ -14,11 +14,12 @@ from .findim import LinearMap, StructureAlgebra, centroid_algebra
 from .linalg import (
     SpanSolver,
     Subspace,
+    column_apply,
     identity_matrix,
     kernel_basis,
-    mat_apply,
     mat_mul,
     rref,
+    sparse_columns,
     vec_add,
     vec_scale,
     zero_vector,
@@ -28,7 +29,11 @@ _ORDER_SEARCH_CAP = 4096
 
 
 class FiniteOrderAuto:
-    """An algebra automorphism of verified finite multiplicative order."""
+    """An algebra automorphism of verified finite multiplicative order.
+
+    `matrix` holds the rows (column j is the image of e_j); `columns` is
+    its column form (linalg's sparse_columns), built once here, and `apply`
+    reads only that."""
 
     def __init__(self, algebra: StructureAlgebra, matrix):
         self.algebra = algebra
@@ -37,14 +42,15 @@ class FiniteOrderAuto:
         n = algebra.dim
         if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
             raise NotAnAutomorphism("matrix shape does not match the algebra")
+        self.columns = sparse_columns(self.matrix)
         _, pivots = rref(self.matrix)
         if len(pivots) != n:
             raise NotAnAutomorphism("matrix is singular")
         basis = algebra.basis()
-        images = [mat_apply(self.matrix, e) for e in basis]
+        images = [self.apply(e) for e in basis]
         for i in range(n):
             for j in range(n):
-                lhs = mat_apply(self.matrix, algebra.multiply(basis[i], basis[j]))
+                lhs = self.apply(algebra.multiply(basis[i], basis[j]))
                 rhs = algebra.multiply(images[i], images[j])
                 if lhs != rhs:
                     raise NotAnAutomorphism(
@@ -68,7 +74,7 @@ class FiniteOrderAuto:
         return cls(algebra, identity_matrix(algebra.field, algebra.dim))
 
     def apply(self, vec):
-        return mat_apply(self.matrix, vec)
+        return column_apply(self.columns, vec)
 
     def inverse_matrix(self):
         return self._inverse

@@ -1,7 +1,13 @@
 """Exact linear algebra over a cyclotomic field.
 
-Vectors are tuples of CycloNumber and matrices are tuples of rows.  All
-elimination runs in one engine, SparseEchelon: a row echelon over sparse
+Vectors are tuples of CycloNumber and matrices are tuples of rows.  A
+square matrix is applied to vectors only in its column form
+(sparse_columns): for each column, the (row, entry) pairs of its nonzero
+entries.  column_apply touches only the columns in the vector's support
+and only their nonzero entries, so a permutation or diagonal map costs
+one product per nonzero coordinate.
+
+All elimination runs in one engine, SparseEchelon: a row echelon over sparse
 dict rows whose pivot is the smallest column key.  rref, kernel_basis,
 Subspace and SpanSolver are dense front ends that translate to and from it.
 column_kernel is the one front end for systems posed one unknown at a
@@ -42,13 +48,25 @@ def vec_is_zero(a) -> bool:
     return all(x.is_zero() for x in a)
 
 
-def mat_apply(m, v):
-    """Matrix times column vector; column j of m is the image of basis vector j."""
-    support = [(j, x) for j, x in enumerate(v) if x]
+def sparse_columns(m) -> tuple:
+    """Column form of a square matrix: for each column j, the (row, entry)
+    pairs of its nonzero entries, in row order."""
     return tuple(
-        sum((row[j] * x for j, x in support), start=row[0].field.zero)
-        for row in m
+        tuple((i, row[j]) for i, row in enumerate(m) if row[j])
+        for j in range(len(m))
     )
+
+
+def column_apply(columns, v) -> tuple:
+    """Matrix times column vector, for the matrix in its column form;
+    column j is the image of basis vector j."""
+    acc = [None] * len(columns)
+    for x, col in zip(v, columns):
+        if x:
+            for i, c in col:
+                cur = acc[i]
+                acc[i] = c * x if cur is None else cur + c * x
+    return tuple(v[0].field.zero if y is None else y for y in acc)
 
 
 def mat_mul(a, b):

@@ -20,11 +20,12 @@ from loomalg.findim import StructureAlgebra, centroid_algebra
 from loomalg.grading import ModGrading
 from loomalg.linalg import (
     SpanSolver,
+    SparseEchelon,
     Subspace,
     charpoly,
     column_kernel,
+    identity_matrix,
     kernel_basis,
-    mat_apply,
     mat_mul,
     vec_add,
     vec_is_zero,
@@ -494,6 +495,42 @@ def naive_mat_mul(a, b):
         )
         for i in range(len(a))
     )
+
+
+def mat_apply(m, v):
+    """Oracle for linalg.column_apply: matrix times column vector over the
+    dense rows, every row entry in the vector's support multiplied."""
+    support = [(j, x) for j, x in enumerate(v) if x]
+    return tuple(
+        sum((row[j] * x for j, x in support), start=row[0].field.zero)
+        for row in m
+    )
+
+
+def dense_mult_algebra_basis(a: StructureAlgebra):
+    """Oracle for findim.mult_algebra_basis: every product of an accepted
+    element and a generator formed as a dense matrix and zero-tested entry
+    by entry before it enters the echelon."""
+    n = a.dim
+    gens = [a.left_mult_matrix(i) for i in range(n)]
+    gens += [a.right_mult_matrix(i) for i in range(n)]
+    ident = identity_matrix(a.field, n)
+    ech = SparseEchelon()
+
+    def sparse(m):
+        return {(i, j): m[i][j] for i in range(n) for j in range(n) if m[i][j]}
+
+    queue = [ident]
+    ech.add_row(sparse(ident))
+    basis = [ident]
+    while queue:
+        m = queue.pop()
+        for g in gens:
+            prod = mat_mul(m, g)
+            if ech.add_row(sparse(prod)) is not None:
+                basis.append(prod)
+                queue.append(prod)
+    return basis
 
 
 def naive_multiply(a: StructureAlgebra, x, y):

@@ -15,7 +15,6 @@ from helpers import (
     window_stabilizer,
     zero_algebra,
 )
-from loomalg import centroid_loop, findim
 from loomalg.centroid_loop import (
     FIRST_KIND_ISO_ADVISORY,
     StrangeRingData,
@@ -313,19 +312,17 @@ def test_centroid_action_matches_matrix_oracle(bases):
 
 
 def count_centroid_matrix_applications(monkeypatch, maps):
-    """Counts mat_apply calls on a centroid map matrix, by either name the
-    centroid action may reach it through."""
-    matrices = [mp.matrix for mp in maps]
+    """Counts LinearMap.apply calls on a centroid basis map, the one way the
+    centroid action reaches a map's matrix."""
     calls = []
-    original = findim.mat_apply
+    original = LinearMap.apply
 
-    def counted(m, v):
-        if any(m is mat for mat in matrices):
+    def counted(self, vec):
+        if any(self is mp for mp in maps):
             calls.append(1)
-        return original(m, v)
+        return original(self, vec)
 
-    monkeypatch.setattr(findim, "mat_apply", counted)
-    monkeypatch.setattr(centroid_loop, "mat_apply", counted)
+    monkeypatch.setattr(LinearMap, "apply", counted)
     return calls
 
 

@@ -155,6 +155,21 @@ def test_parse_is_deterministic():
     assert [str(d) for d in a.diagnostics] == [str(d) for d in b.diagnostics]
 
 
+def test_parses_of_one_text_share_identifier_strings():
+    # identifiers are interned, so parse trees kept side by side hold one
+    # string per distinct name instead of one per parse
+    src = (FIXTURES / "hermitian_1.loom").read_text(encoding="utf-8")
+
+    def names(doc):
+        return [s.name for s in doc.statements if hasattr(s, "name")] + [
+            c.target for c in doc.commands
+        ]
+
+    first, second = names(parse(src).document), names(parse(src).document)
+    assert "s1" in first and first == second
+    assert all(x is y for x, y in zip(first, second))
+
+
 def test_comments_are_dropped_by_the_printer():
     src = "# leading note\nfield zeta 2; algebra A = mat(2); # trailing\nbuild tower A;"
     result = parse(src)

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import mult_module_closure, naive_multiply, zero_algebra
+from helpers import (
+    dense_mult_algebra_basis,
+    mult_module_closure,
+    naive_multiply,
+    zero_algebra,
+)
+from loomalg import findim
 from loomalg.errors import DimensionMismatch, LoomError
 from loomalg.exactnum import CycloField
 from loomalg.findim import (
@@ -28,6 +34,7 @@ from loomalg.findim import (
     is_pfgc_findim,
     is_simple,
     matrix_algebra,
+    mult_algebra_basis,
     property_report,
     satisfies_jacobi,
     sl_algebra,
@@ -327,6 +334,33 @@ def test_is_simple_seed_determinism():
     assert a is not b
     assert is_simple(a) == is_simple(b)
     assert is_simple(a)
+
+
+_SPIN_ALGEBRAS = {
+    "sl(2)": lambda: sl_algebra(2, F1),
+    "sl(3)": lambda: sl_algebra(3, F1),
+    "sl(4)": lambda: sl_algebra(4, F1),
+    "mat(2)": lambda: matrix_algebra(2, F1),
+    "mat(3)": lambda: matrix_algebra(3, F1),
+    "quaternions": quaternion_algebra,
+    "sl(2)+sl(2)": lambda: direct_sum(sl_algebra(2, F1), sl_algebra(2, F1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPIN_ALGEBRAS))
+def test_sparse_mult_algebra_basis_matches_the_dense_oracle(monkeypatch, name):
+    build = _SPIN_ALGEBRAS[name]
+    a = build()
+    dense = dense_mult_algebra_basis(a)
+    # the same products accepted in the same order, so the same span and
+    # the same seeded simplicity search
+    assert mult_algebra_basis(a) == dense
+    verdict = is_simple(a)
+    # A is central simple exactly when its multiplication algebra is all
+    # of End(A) (Burnside); every simple algebra here is central
+    assert verdict == (len(dense) == a.dim ** 2)
+    monkeypatch.setattr(findim, "mult_algebra_basis", dense_mult_algebra_basis)
+    assert is_simple(build()) == verdict
 
 
 # -- basis change -----------------------------------------------------------

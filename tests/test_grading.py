@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import kernel_centroid_grading
+from helpers import kernel_centroid_grading, mat_apply
 from loomalg.errors import InvalidGrading, NotAnAutomorphism
-from loomalg.exactnum import CycloField
+from loomalg.exactnum import CycloField, CycloNumber
 from loomalg.findim import direct_sum, matrix_algebra, sl_algebra, sl_basis
 from loomalg.fixtures import (
     conjugation_auto,
@@ -55,6 +55,35 @@ def test_auto_detects_period():
     square = mat_mul(auto.matrix, auto.matrix)
     assert square == identity_matrix(F2, 3)
     assert mat_mul(square, auto.matrix) == auto.matrix
+
+
+@pytest.mark.parametrize("kind", ["permutation", "diagonal"])
+def test_auto_apply_multiplies_only_nonzero_column_entries(monkeypatch, kind):
+    # one product per nonzero matrix entry in the vector's support columns;
+    # a dense apply would make dim products per support column
+    one, zero, zeta = F4.one, F4.zero, F4.zeta
+    if kind == "permutation":
+        u = ((zero, one, zero), (zero, zero, one), (one, zero, zero))
+    else:
+        u = ((one, zero, zero), (zero, zeta, zero), (zero, zero, -one))
+    auto = conjugation_auto(matrix_algebra(3, F4), u)
+    vec = list(zero_vector(F4, 9))
+    vec[1], vec[4], vec[8] = one, zeta + 2, -zeta
+    support = [j for j, x in enumerate(vec) if x]
+    entries = sum(1 for j in support for row in auto.matrix if row[j])
+    assert entries == len(support)
+    products = []
+    original = CycloNumber.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(CycloNumber, "__mul__", counted)
+    image = auto.apply(tuple(vec))
+    monkeypatch.undo()
+    assert len(products) == entries
+    assert image == mat_apply(auto.matrix, tuple(vec))
 
 
 def test_auto_identity_has_period_one():

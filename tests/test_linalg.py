@@ -10,7 +10,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import intersect, naive_mat_mul
+from helpers import intersect, mat_apply, naive_mat_mul
 from loomalg.exactnum import CycloField
 from loomalg.fixtures import matrix_inverse
 from loomalg.linalg import (
@@ -18,12 +18,13 @@ from loomalg.linalg import (
     SparseEchelon,
     Subspace,
     charpoly,
+    column_apply,
     column_kernel,
     identity_matrix,
     kernel_basis,
-    mat_apply,
     mat_mul,
     rref,
+    sparse_columns,
     trace,
     transpose,
     unit_vector,
@@ -245,6 +246,42 @@ def test_mat_mul_and_mat_apply_match_the_triple_loop(factors):
         assert mat_apply(a, column) == tuple(
             row[j] for row in naive_mat_mul(a, b)
         )
+
+
+@st.composite
+def sparse_applications(draw):
+    """A square matrix over Q(zeta_N), N in {1, 3, 4, 8}, mostly zero with
+    one all-zero column forced, and vectors to apply it to: the zero
+    vector, a unit vector and a drawn vector."""
+    field = CycloField(draw(st.sampled_from([1, 3, 4, 8])))
+    n = draw(st.integers(min_value=1, max_value=5))
+    entry = st.one_of(
+        st.just(0), st.just(0),
+        st.lists(st.integers(min_value=-3, max_value=3),
+                 min_size=1, max_size=field.degree).map(field.from_coeffs),
+        st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    )
+
+    def vector():
+        return [field.from_rational(0) + draw(entry) for _ in range(n)]
+
+    m = [vector() for _ in range(n)]
+    zero_col = draw(st.integers(min_value=0, max_value=n - 1))
+    for row in m:
+        row[zero_col] = field.zero
+    unit = unit_vector(field, n, draw(st.integers(min_value=0,
+                                                  max_value=n - 1)))
+    vectors = (zero_vector(field, n), unit, tuple(vector()))
+    return tuple(map(tuple, m)), vectors
+
+
+@given(sparse_applications())
+def test_column_apply_matches_the_dense_apply(case):
+    m, vectors = case
+    columns = sparse_columns(m)
+    assert all(c for col in columns for _, c in col)
+    for v in vectors:
+        assert column_apply(columns, v) == mat_apply(m, v)
 
 
 def test_vector_helpers():
