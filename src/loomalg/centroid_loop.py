@@ -157,14 +157,12 @@ def stabilizes(tower: LoopTower, maps, u: LaurentElement,
     )
 
 
-def _member_degree(x: LaurentElement, homogeneous: bool):
-    """A degree of a window member's support, checked to be the only one,
-    or the only outermost exponent when just that variable is periodic."""
-    count = len(x.support) if homogeneous else len(x.last_degrees())
-    if count != 1:
+def _member_degree(x: LaurentElement, exponents):
+    """A degree of a window member's support, checked to share its
+    exponents in the variables with a period with the whole support."""
+    if len({exponents(deg) for deg in x.support}) != 1:
         raise InvariantViolated(
-            "window member is not homogeneous in "
-            + ("every variable" if homogeneous else "the outermost variable")
+            "window member is not homogeneous in the variables with a period"
         )
     return next(iter(x.support))
 
@@ -173,21 +171,17 @@ def stabilizer_in_box(tower: LoopTower, box: DegreeBox) -> StabilizerBasis:
     """Window basis of {u in C(A) (x) Laurent : u . L inside L}.
 
     The membership defect of u . x is linear in u, so the stabilizer is a
-    kernel.  It is posed on the tower's degree periods P: shifting by
-    z_p^(P_p) maps the tower onto itself, so the constraints on an unknown
-    of degree d depend only on the class of d, and the members of degree
-    g + P_p e_p are those of degree g shifted.  The rows therefore come
-    from the members at the first degree of each class in the box.  When
-    every P_p is set (every degree matrix is I) members are homogeneous
-    and unknowns of different degrees share no row, so a block is one
-    degree; otherwise only the outermost variable is periodic and a block
-    is one outermost exponent.  One block per class is solved, at the
-    first degree of the class in the box, and its canonical kernel is
-    shifted onto every degree of the class in the box.  The constraint
-    sets equal those of the whole window, so the kernels do too.  The
-    same box serves as the action-verification window.  Scalar centroid
-    maps act without a matrix (see centroid_action).  Each box is solved
-    once per tower; later calls return the stored basis."""
+    kernel, posed on the tower's period classes (LoopTower): the rows come
+    from the members at the first degree of each class in the box.
+    Members are homogeneous in the variables with a period, so unknowns
+    whose exponents there differ share no row, and a block is the box
+    degrees with given exponents in those variables.  The first block of
+    each class in the box is solved and its canonical kernel shifted onto
+    the other blocks of the class.  The constraint sets equal those of
+    the whole window, so the kernels do too.  The same box serves as the
+    action-verification window.  Scalar centroid maps act without a
+    matrix (see centroid_action).  Each box is solved once per tower;
+    later calls return the stored basis."""
     if box.arity != tower.n:
         raise LoomError("box arity does not match the tower")
     stored = tower._stabilizer_cache.get(box.radius)
@@ -202,28 +196,22 @@ def stabilizer_in_box(tower: LoopTower, box: DegreeBox) -> StabilizerBasis:
     calg, maps = centroid_algebra(tower.base)
     r = calg.dim
     field = tower.field
-    periods = tower.degree_periods
-    homogeneous = None not in periods
     lows = tuple(-x for x in box.radius)
+    periods = tower.degree_periods
 
-    def class_shift(degree):
-        # offset from the first degree of the class in the box
-        return tuple(
-            0 if period is None else (c - low) // period * period
-            for c, low, period in zip(degree, lows, periods)
-        )
+    def exponents(d):
+        # a degree's exponents in the variables with a period
+        return tuple(g for g, period in zip(d, periods) if period is not None)
 
     members = [
         x for x in tower.basis_in_box(box)
-        if not any(class_shift(_member_degree(x, homogeneous)))
+        if not any(tower.class_shift(_member_degree(x, exponents), lows))
     ]
-    degrees = box.degrees()
+    blocks = {}
+    for d in box.degrees():
+        blocks.setdefault(exponents(d), []).append(d)
 
-    def block_kernel(first):
-        block_degs = (
-            [first] if homogeneous
-            else [d for d in degrees if d[-1] == first[-1]]
-        )
+    def block_kernel(block_degs):
         keys = [(d, s) for d in block_degs for s in range(r)]
         columns = []
         for d, s in keys:
@@ -239,21 +227,18 @@ def stabilizer_in_box(tower: LoopTower, box: DegreeBox) -> StabilizerBasis:
             columns.append(column)
         return column_kernel(keys, columns, field)
 
-    # blocks in order of the outermost exponent, then of degree
-    last = range(lows[-1], box.radius[-1] + 1)
-    heads = (
-        sorted(degrees, key=lambda d: (d[-1], d)) if homogeneous
-        else [lows[:-1] + (j,) for j in last]
-    )
     kernels = {}
     elements = []
-    dims_by_degree = dict.fromkeys(last, 0)
-    for head in heads:
-        shift = class_shift(head)
-        first = tuple(h - o for h, o in zip(head, shift))
+    dims_by_degree = dict.fromkeys(range(lows[-1], box.radius[-1] + 1), 0)
+    # blocks in order of the outermost exponent (P_n is always set), then
+    # of their exponents
+    for key in sorted(blocks, key=lambda k: (k[-1], k)):
+        head = blocks[key][0]
+        shift = tower.class_shift(head, lows)
+        first = exponents(tuple(g - o for g, o in zip(head, shift)))
         if first not in kernels:
-            kernels[first] = block_kernel(first)
-        dims_by_degree[head[-1]] += len(kernels[first])
+            kernels[first] = block_kernel(blocks[first])
+        dims_by_degree[key[-1]] += len(kernels[first])
         for sol in kernels[first]:
             support = {}
             for (d, s), val in sol.items():
@@ -293,12 +278,10 @@ def multiloop_centroid_check(tower: LoopTower, stab: StabilizerBasis):
     """Stabilizer of a multiloop over a central simple base: exactly the
     monomials in z_p^(m_p).  Reports any discrepancy in the window of
     `stab`, a stabilizer_in_box result for the tower."""
-    for stage in tower.stages:
-        p = stage.twist.arity
-        if stage.twist.m_matrix != tuple(
-            tuple(1 if i == j else 0 for j in range(p)) for i in range(p)
-        ) or any(stage.twist.c_vector):
-            raise HypothesisNotMet("tower was not built as a multiloop")
+    # every degree period is set exactly when every degree matrix is I
+    if None in tower.degree_periods or any(
+            any(stage.twist.c_vector) for stage in tower.stages):
+        raise HypothesisNotMet("tower was not built as a multiloop")
     if not (is_simple(tower.base) and is_central(tower.base)):
         raise HypothesisNotMet(
             "multiloop centroid description requires a central simple base"

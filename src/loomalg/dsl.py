@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field as dc_field
-from math import gcd
+from math import lcm
 
 # Stable diagnostic codes.  Every code is exercised by a corpus file under
 # fixtures/diagnostics and the table below is the documentation of record.
@@ -278,17 +278,18 @@ class Command:
     span: Span = dc_field(compare=False, default=None)
 
 
+def _root_order(statements) -> int:
+    """The order of the root the declared fields provide: the lcm of the
+    field orders, 1 when no field is declared."""
+    return lcm(*(s.order for s in statements if isinstance(s, FieldDecl)))
+
+
 class Document:
     """Validated program: orders, declarations, and commands, in order."""
 
     def __init__(self, statements):
         self.statements = tuple(statements)
-        self.field_orders = tuple(
-            s.order for s in self.statements if isinstance(s, FieldDecl)
-        )
-        self.root_order = 1
-        for m in self.field_orders:
-            self.root_order = self.root_order * m // gcd(self.root_order, m)
+        self.root_order = _root_order(self.statements)
         self.decls = {}
         for s in self.statements:
             if isinstance(s, (AlgebraDecl, AutoDecl, GradingDecl,
@@ -754,11 +755,7 @@ class _Validator:
         self.diagnostics = diagnostics
         self.table = {}
         self.used = set()
-        self.root_order = 1
-        for s in statements:
-            if isinstance(s, FieldDecl):
-                g = gcd(self.root_order, s.order)
-                self.root_order = self.root_order * s.order // g
+        self.root_order = _root_order(statements)
 
     def error(self, span, message, code):
         self.diagnostics.append(Diagnostic("error", span, message, code))

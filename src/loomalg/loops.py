@@ -435,7 +435,11 @@ class LoopTower:
     when every stage's degree matrix is I (then members are homogeneous
     in every variable); it is m_p t_p with t_p the least integer such that
     every later stage's character is trivial on m_p t_p e_p, and None
-    otherwise.
+    otherwise.  So whether and how a (x) z^g lies in the tower depends on
+    g only through its class: g modulo P_p in each variable with a period,
+    g_p itself in the others.  class_shift is the one place that turns
+    the periods into offsets; members are homogeneous in the variables
+    with a period, and the member projection commutes with the shifts.
     """
 
     def __init__(self, base: StructureAlgebra, stages):
@@ -462,22 +466,19 @@ class LoopTower:
     # -- construction-time checks ------------------------------------------
 
     def _degree_periods(self):
-        if self.n == 0:
-            return ()
-        outer = self.stages[-1].modulus
-        if any(s.twist.m_matrix != _int_identity(s.twist.arity)
-               for s in self.stages):
-            return (None,) * (self.n - 1) + (outer,)
+        identity = all(s.twist.m_matrix == _int_identity(s.twist.arity)
+                       for s in self.stages)
         periods = []
-        for p, stage in enumerate(self.stages[:-1]):
+        for p, stage in enumerate(self.stages):
             # z_p^(m t) is fixed by stage q's character zeta_q^<c_q, .>
             # exactly when o_q divides m t c_q[p]
             t = 1
             for later in self.stages[p + 1:]:
                 o = later.twist.root_order
                 t = lcm(t, o // gcd(o, stage.modulus * later.twist.c_vector[p]))
-            periods.append(stage.modulus * t)
-        return (*periods, outer)
+            outer = p == self.n - 1
+            periods.append(stage.modulus * t if identity or outer else None)
+        return tuple(periods)
 
     def _validate_last_stage(self):
         """Check the stage this tower adds; return the window radii used
@@ -530,6 +531,16 @@ class LoopTower:
 
     def default_box(self) -> DegreeBox:
         return DegreeBox(tuple(2 * s.modulus for s in self.stages))
+
+    def class_shift(self, degree, origin):
+        """The period multiple that moves degree to the first degree of its
+        class at or above origin: per variable 0 where no period is set,
+        else the multiple of P_p with origin_p <= g_p - shift_p < origin_p
+        + P_p (negative exponents floor to the start of their class)."""
+        return tuple(
+            0 if period is None else (g - o) // period * period
+            for g, o, period in zip(degree, origin, self.degree_periods)
+        )
 
     # -- window bases ------------------------------------------------------
 
@@ -633,28 +644,37 @@ def member_projection(tower: LoopTower, y: LaurentElement) -> LaurentElement:
     exactly when member_projection(tower, y) == y; the defect y - P(y) is
     linear in y, which turns membership of unknown linear combinations into
     kernel systems (stabilizer_in_box, canonical_form); tower_membership
-    decides membership of a given element.  Single-monomial projections
-    are memoized per tower."""
+    decides membership of a given element.  The projection commutes with
+    the shifts by the degree periods, so single-monomial projections are
+    memoized per tower by (class representative, coordinate), the
+    representative being the first degree of the class at or above 0, and
+    each cached piece is shifted back onto the degree asked for."""
     if y.arity != tower.n:
         raise DimensionMismatch(
             f"element arity {y.arity}, tower has {tower.n} stages"
         )
     field = tower.field
     d = tower.base.dim
+    origin = (0,) * tower.n
     support = {}
     memo = tower._proj_memo
     for g, vec in y.support.items():
+        shift = tower.class_shift(g, origin)
+        moved = any(shift)
+        rep = tuple(a - s for a, s in zip(g, shift)) if moved else g
         for i, c in enumerate(vec):
             if not c:
                 continue
-            cached = memo.get((g, i))
+            cached = memo.get((rep, i))
             if cached is None:
                 mono = LaurentElement.monomial(
-                    field, tower.n, d, g, tower.base.basis_vector(i)
+                    field, tower.n, d, rep, tower.base.basis_vector(i)
                 )
                 cached = _project_once(tower, mono)
-                memo[(g, i)] = cached
+                memo[(rep, i)] = cached
             for deg, v in cached.support.items():
+                if moved:
+                    deg = tuple(a + s for a, s in zip(deg, shift))
                 if c != field.one:
                     v = vec_scale(c, v)
                 cur = support.get(deg)

@@ -640,6 +640,69 @@ def test_root_power_tables_match_powers_of_the_root(name):
                     e % twist.root_order)
 
 
+@pytest.mark.parametrize("name", sorted(_ORACLE_TOWERS))
+def test_projection_runs_once_per_class_and_coordinate(name, monkeypatch):
+    # the projection commutes with the shifts by the degree periods, so a
+    # fresh tower projects one monomial per (class, coordinate) and shifts
+    # the cached piece onto every other degree of the class
+    built = _ORACLE_TOWERS[name]()
+    tower = LoopTower(built.base, built.stages)
+    periods = tower.degree_periods
+    calls = []
+    project_once = loops._project_once
+
+    def counted(tower, y):
+        calls.append(y)
+        return project_once(tower, y)
+
+    monkeypatch.setattr(loops, "_project_once", counted)
+    box = DegreeBox(tuple(
+        m if period is None else period
+        for m, period in zip(tower.moduli(), periods)
+    ))
+    met = set()
+    for g in box.degrees():
+        for i in range(tower.base.dim):
+            y = LaurentElement.monomial(tower.field, tower.n, tower.base.dim,
+                                        g, tower.base.basis_vector(i))
+            assert member_projection(tower, y) == recursive_projection(
+                tower, y)
+            met.add((tuple(a if period is None else a % period
+                           for a, period in zip(g, periods)), i))
+    assert len(calls) == len(met)
+
+
+@pytest.mark.parametrize("name,degree,origin,shift", [
+    ("quantum-torus-3", (-4, 5), (0, 0), (-6, 3)),
+    ("quantum-torus-3", (-1, -3), (0, 0), (-3, -3)),
+    ("quantum-torus-3", (-5, 7), (-2, -2), (-3, 9)),
+    ("quantum-torus-3", (0, -2), (-2, -2), (0, 0)),
+    ("synthetic-a3", (-1, 9), (0, 0), (-4, 8)),
+    ("hermitian-2", (5, -3), (0, 0), (0, -4)),
+    ("hermitian-2", (-7, 3), (-2, -2), (0, 4)),
+])
+def test_class_shift_on_hand_picked_degrees(name, degree, origin, shift):
+    # negative exponents floor to the start of their class; a variable
+    # with no period (the inner one of hermitian-2) is never shifted
+    tower = _REGISTRY[name]["tower"]
+    assert tower.class_shift(degree, origin) == shift
+
+
+@pytest.mark.parametrize("name", ["quantum-torus-3", "synthetic-a4",
+                                  "hermitian-2"])
+def test_class_shift_lands_in_the_first_class_window(name):
+    tower = _REGISTRY[name]["tower"]
+    periods = tower.degree_periods
+    for origin in [(0, 0), (-2, -3), (3, -1)]:
+        for degree in DegreeBox((9, 9)).degrees():
+            shift = tower.class_shift(degree, origin)
+            for g, o, s, period in zip(degree, origin, shift, periods):
+                if period is None:
+                    assert s == 0
+                else:
+                    assert s % period == 0 and o <= g - s < o + period
+
+
 def test_stage_twist_refuses_a_shorter_element():
     tower = _three_stage_multiloop()
     twist = tower.stages[2].twist

@@ -209,3 +209,44 @@ def test_bench_traced_boundaries_are_reached_on_batch():
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+_SEED_ONE_DIGESTS = """
+import hashlib
+import json
+import sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import workloads
+from loomalg import dsl, runner
+
+with open(sys.argv[3], encoding="utf-8") as handle:
+    reference = json.load(handle)
+changed = []
+for workload in workloads.WORKLOADS:
+    docs = workloads.generate(workload, 1)
+    expected = reference[workload]["1"]
+    assert len(docs) == len(expected), f"{workload}: generator changed"
+    for i, doc in enumerate(docs):
+        # the output the benchmark hashes: the report, or the diagnostics
+        parsed = dsl.parse(doc.text)
+        if parsed.document is None:
+            output = "".join(f"{d}\\n" for d in parsed.diagnostics)
+        else:
+            output = runner.report_json(runner.execute(parsed.document))
+        if hashlib.sha256(output.encode("utf-8")).hexdigest() != expected[i]:
+            changed.append(f"{workload}#{i} {doc.name}")
+assert changed == [], f"reports differ from the recorded digests: {changed}"
+"""
+
+
+def test_seed_one_workload_reports_match_the_recorded_digests():
+    # the benchmark refuses a run whose reports differ from
+    # bench/reference.json; one seed-1 pass of each workload shows a
+    # report change here first
+    bench = SRC.parent.parent / "bench"
+    proc = subprocess.run(
+        [sys.executable, "-c", _SEED_ONE_DIGESTS, str(bench), str(SRC.parent),
+         str(bench / "reference.json")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
