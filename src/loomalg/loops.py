@@ -178,10 +178,6 @@ class LaurentElement:
         }
         return LaurentElement(self.field, self.arity, self.base_dim, support)
 
-    def last_degrees(self):
-        """Sorted distinct exponents of the last variable."""
-        return sorted({deg[-1] for deg in self.support})
-
     def tensor_last(self, j: int) -> "LaurentElement":
         """Append one variable, placing everything in exponent j."""
         support = {deg + (int(j),): vec for deg, vec in self.support.items()}

@@ -103,7 +103,6 @@ def test_laurent_element_algebra():
     shifted = x.shift((2, 3))
     assert shifted.degrees() == [(3, 3)]
     assert x.tensor_last(5).degrees() == [(1, 0, 5)]
-    assert sorted(s.last_degrees()) == [-1, 0]
 
 
 def test_laurent_element_equality_and_hash():
