@@ -507,21 +507,51 @@ def is_pfgc_findim(a: StructureAlgebra) -> bool:
 # simplicity
 
 
+def _generators(a: StructureAlgebra):
+    """The linearly independent multiplications: L_0, ..., L_(n-1), then
+    R_0, ..., R_(n-1), each kept only when it lies outside the span of those
+    kept before it.  Each comes as (columns, rows) in linalg's sparse column
+    form, rows being the column form of its transpose; column j of L_i is
+    e_i e_j, and column j of R_i is e_j e_i."""
+    n = a.dim
+    prods = a._products
+    ech = SparseEchelon()
+    out = []
+    for columns in (
+        *(prods[i] for i in range(n)),
+        *(tuple(prods[j][i] for j in range(n)) for i in range(n)),
+    ):
+        row = {(j, k): c for j, col in enumerate(columns) for k, c in col}
+        if ech.add_row(row) is None:
+            continue
+        rows = [[] for _ in range(n)]
+        for j, col in enumerate(columns):
+            for k, c in col:
+                rows[k].append((j, c))
+        out.append((columns, rows))
+    return out
+
+
 def mult_algebra_basis(a: StructureAlgebra):
     """Basis of the multiplication algebra: the unital associative algebra of
     endomorphisms generated by all left and right multiplications.
 
-    Accepted elements and the generators are held as sparse rows; each
-    product is formed sparsely, keyed by (row, column), and enters the
-    echelon as it is.  Only accepted products are densified."""
+    Only the independent generators (`_generators`) are multiplied in.  A
+    dropped generator g is a combination of generators before it, so each
+    product m g is the same combination of products already offered to the
+    echelon and would be dependent: the basis and its order are those of
+    the full generator list.  On a Lie or commutative algebra R_i = -L_i or
+    L_i, so half the products are skipped.  Accepted elements and the
+    generators are held as sparse rows; each product is formed sparsely,
+    keyed by (row, column), and enters the echelon as it is.  Only accepted
+    products are densified."""
     n = a.dim
     zero = a.field.zero
 
     def sparse_rows(m):
         return [[(j, x) for j, x in enumerate(row) if x] for row in m]
 
-    gens = [sparse_rows(a.left_mult_matrix(i)) for i in range(n)]
-    gens += [sparse_rows(a.right_mult_matrix(i)) for i in range(n)]
+    gens = [rows for _, rows in _generators(a)]
     ident = identity_matrix(a.field, n)
     ech = SparseEchelon()
     ech.add_row({(i, i): a.field.one for i in range(n)})
@@ -546,22 +576,73 @@ def mult_algebra_basis(a: StructureAlgebra):
     return basis
 
 
-def _module_span(columns, v, field, n) -> Subspace:
-    # the maps span a unital algebra, so one application is enough
-    return Subspace(field, n, [column_apply(c, v) for c in columns])
+def _spin(generators, v, n: int) -> int:
+    """Dimension of the closure of v under the maps given in column form:
+    the smallest subspace that contains v and that every map sends into
+    itself.  Closing under generators closes under every word in them, so
+    under the generated unital algebra.  Stops at dimension n."""
+    ech = SparseEchelon()
+    start = {j: x for j, x in enumerate(v) if x}
+    if ech.add_row(start) is None:
+        return 0
+    queue = [start]
+    while queue:
+        w = queue.pop()
+        for columns in generators:
+            u = {}
+            for j, x in w.items():
+                for i, c in columns[j]:
+                    cur = u.get(i)
+                    u[i] = c * x if cur is None else cur + c * x
+            if ech.add_row(u) is not None:
+                if ech.rank == n:
+                    return n
+                queue.append({i: x for i, x in u.items() if x})
+    return ech.rank
 
 
 _SIMPLE_SEED, _SIMPLE_TRIALS = 20260214, 25
 
 
+def _simple_candidates(a: StructureAlgebra, basis_mats):
+    """The elements of the multiplication algebra whose characteristic
+    polynomials `is_simple` factors, in order: seeded pseudo-random
+    combinations of up to four basis matrices, then L_i and R_i for each i.
+    Each is built only when the search asks for it; the draws are the same
+    as when all are built first."""
+    field = a.field
+    rng = random.Random(_SIMPLE_SEED)
+    for _ in range(_SIMPLE_TRIALS):
+        hi = min(4, len(basis_mats))
+        terms = rng.randint(min(2, hi), hi)
+        picks = rng.sample(range(len(basis_mats)), terms)
+        m = None
+        for p in picks:
+            c = field.from_rational(rng.randint(-2, 2))
+            scaled = tuple(
+                tuple(c * x for x in row) for row in basis_mats[p]
+            )
+            m = scaled if m is None else tuple(
+                tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(m, scaled)
+            )
+        yield m
+    for i in range(a.dim):
+        yield a.left_mult_matrix(i)
+        yield a.right_mult_matrix(i)
+
+
 def is_simple(a: StructureAlgebra) -> bool:
     """Exact simplicity test: nonzero product and no proper ideal.
 
-    Proper ideals are hunted by spinning basis vectors and kernel vectors of
-    factored characteristic polynomials of seeded pseudo-random elements of
-    the multiplication algebra; irreducibility is certified through a factor
-    of multiplicity one by spinning one kernel vector in the module and one
-    in the transpose module.  The verdict is stored on `a`.
+    The ideal generated by v is Mult(A) v, the closure of v under the
+    independent left and right multiplications (`_spin`); the closure of v
+    under their transposes is the transposed module's.  Proper ideals are
+    hunted by spinning basis vectors and kernel vectors of factored
+    characteristic polynomials of seeded pseudo-random elements of the
+    multiplication algebra, which serves only to supply those elements.
+    Irreducibility is certified through a factor of multiplicity one
+    (Norton's criterion) by spinning one kernel vector in the module and
+    one in the transposed module.  The verdict is stored on `a`.
     """
     if "simple" not in a._facts:
         a._facts["simple"] = _is_simple(a)
@@ -578,54 +659,41 @@ def _is_simple(a: StructureAlgebra) -> bool:
         return False
     field = a.field
     basis_mats = mult_algebra_basis(a)
-    basis_cols = [sparse_columns(m) for m in basis_mats]
-    tbasis_cols = [sparse_columns(transpose(m)) for m in basis_mats]
-
+    gens = _generators(a)
+    columns = [cols for cols, _ in gens]
+    tcolumns = [rows for _, rows in gens]
+    spins = n
     for i in range(n):
-        d = _module_span(basis_cols, a.basis_vector(i), field, n).dim
-        if d < n:
+        if _spin(columns, a.basis_vector(i), n) < n:
             return False
 
-    rng = random.Random(_SIMPLE_SEED)
-    candidates = []
-    for _ in range(_SIMPLE_TRIALS):
-        hi = min(4, len(basis_mats))
-        terms = rng.randint(min(2, hi), hi)
-        picks = rng.sample(range(len(basis_mats)), terms)
-        m = None
-        for p in picks:
-            c = field.from_rational(rng.randint(-2, 2))
-            scaled = tuple(
-                tuple(c * x for x in row) for row in basis_mats[p]
-            )
-            m = scaled if m is None else tuple(
-                tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(m, scaled)
-            )
-        candidates.append(m)
-    for i in range(n):
-        candidates.append(a.left_mult_matrix(i))
-        candidates.append(a.right_mult_matrix(i))
-
-    for theta in candidates:
+    drawn = simple_factors = 0
+    for theta in _simple_candidates(a, basis_mats):
+        drawn += 1
         cp = charpoly(theta, field)
         factors = polyfactor.factor(cp, field)
         for f, mult in factors:
             ftheta = _matrix_poly(f, theta, field)
             ker = kernel_basis(ftheta, n, field)
+            spins += len(ker)
             for v in ker:
-                d = _module_span(basis_cols, v, field, n).dim
+                d = _spin(columns, v, n)
                 if 0 < d < n:
                     return False
-            if mult == 1 and len(ker) == polyfactor.pdeg(f):
-                # multiplicity-one factor: one spin each way settles it
-                if _module_span(basis_cols, ker[0], field, n).dim < n:
-                    return False
+            if mult != 1:
+                continue
+            simple_factors += 1
+            if len(ker) == polyfactor.pdeg(f):
+                # multiplicity-one factor: one spin each way settles it;
+                # the loop above spun ker[0] to all of A
                 tker = kernel_basis(_matrix_poly(f, transpose(theta), field), n, field)
-                if _module_span(tbasis_cols, tker[0], field, n).dim < n:
+                if _spin(tcolumns, tker[0], n) < n:
                     return False
                 return True
     raise Undecided(
-        "simplicity search exhausted without a certifying element; "
+        "simplicity search exhausted without a certifying element: "
+        f"{drawn} candidates drawn, {spins} spins made, "
+        f"{simple_factors} multiplicity-one factors met; "
         f"multiplication algebra dimension {len(basis_mats)} over module dimension {n}"
     )
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import sympy
 
-from loomalg import polyfactor
+from loomalg import findim, polyfactor
 from loomalg.archetypes import _centralizer_candidates, _weight_key
 from loomalg.centroid_loop import (
     StabilizerBasis,
@@ -27,6 +27,7 @@ from loomalg.linalg import (
     identity_matrix,
     kernel_basis,
     mat_mul,
+    transpose,
     vec_add,
     vec_is_zero,
     vec_scale,
@@ -164,6 +165,47 @@ def mult_module_closure(a: StructureAlgebra, vectors) -> Subspace:
                 if solver.add(u):
                     spanning.append(u)
     return Subspace(a.field, a.dim, spanning)
+
+
+def transposed_module_closure(a: StructureAlgebra, vectors) -> Subspace:
+    """Smallest subspace containing the vectors and stable under the
+    transposes of all left and right multiplications (a submodule of the
+    transposed, or dual, module)."""
+    solver = SpanSolver(a.field, a.dim)
+    spanning = [v for v in vectors if solver.add(v)]
+    for w in spanning:  # the list grows while it is walked
+        for i in range(a.dim):
+            for m in (a.left_mult_matrix(i), a.right_mult_matrix(i)):
+                u = mat_apply(transpose(m), w)
+                if solver.add(u):
+                    spanning.append(u)
+    return Subspace(a.field, a.dim, spanning)
+
+
+def eager_simple_candidates(a: StructureAlgebra, basis_mats):
+    """Oracle for findim._simple_candidates: all seeded random combinations
+    of basis matrices built first, then L_i and R_i for each i."""
+    field = a.field
+    rng = random.Random(findim._SIMPLE_SEED)
+    candidates = []
+    for _ in range(findim._SIMPLE_TRIALS):
+        hi = min(4, len(basis_mats))
+        terms = rng.randint(min(2, hi), hi)
+        picks = rng.sample(range(len(basis_mats)), terms)
+        m = None
+        for p in picks:
+            c = field.from_rational(rng.randint(-2, 2))
+            scaled = tuple(
+                tuple(c * x for x in row) for row in basis_mats[p]
+            )
+            m = scaled if m is None else tuple(
+                tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(m, scaled)
+            )
+        candidates.append(m)
+    for i in range(a.dim):
+        candidates.append(a.left_mult_matrix(i))
+        candidates.append(a.right_mult_matrix(i))
+    return candidates
 
 
 def hermitian_orbit_count(radius) -> int:

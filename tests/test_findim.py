@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from helpers import (
     dense_mult_algebra_basis,
+    eager_simple_candidates,
     mult_module_closure,
     naive_multiply,
+    transposed_module_closure,
     zero_algebra,
 )
-from loomalg import findim
-from loomalg.errors import DimensionMismatch, LoomError
+from loomalg import findim, polyfactor
+from loomalg.errors import DimensionMismatch, LoomError, Undecided
 from loomalg.exactnum import CycloField
 from loomalg.findim import (
     LinearMap,
@@ -42,6 +44,8 @@ from loomalg.findim import (
 from loomalg.fixtures import quaternion_algebra
 from loomalg.linalg import (
     SpanSolver,
+    charpoly,
+    kernel_basis,
     mat_mul,
     unit_vector,
     vec_add,
@@ -336,6 +340,17 @@ def test_is_simple_seed_determinism():
     assert is_simple(a)
 
 
+F3 = CycloField(3)
+
+
+def _diagonal(k, field):
+    """k copies of the field, multiplied coordinatewise."""
+    a = matrix_algebra(1, field)
+    for _ in range(k - 1):
+        a = direct_sum(a, matrix_algebra(1, field))
+    return a
+
+
 _SPIN_ALGEBRAS = {
     "sl(2)": lambda: sl_algebra(2, F1),
     "sl(3)": lambda: sl_algebra(3, F1),
@@ -344,6 +359,11 @@ _SPIN_ALGEBRAS = {
     "mat(3)": lambda: matrix_algebra(3, F1),
     "quaternions": quaternion_algebra,
     "sl(2)+sl(2)": lambda: direct_sum(sl_algebra(2, F1), sl_algebra(2, F1)),
+    # commutative bases, and a Lie base over a larger field: R_i = L_i or
+    # R_i = -L_i, so half the generators are dropped
+    "unit": lambda: matrix_algebra(1, F1),
+    "diag(3)/Q(zeta3)": lambda: _diagonal(3, F3),
+    "sl(3)/Q(zeta4)": lambda: sl_algebra(3, F4),
 }
 
 
@@ -353,14 +373,94 @@ def test_sparse_mult_algebra_basis_matches_the_dense_oracle(monkeypatch, name):
     a = build()
     dense = dense_mult_algebra_basis(a)
     # the same products accepted in the same order, so the same span and
-    # the same seeded simplicity search
+    # the same seeded simplicity search, although dependent generators are
+    # skipped
     assert mult_algebra_basis(a) == dense
+    if is_commutative(a) or is_anticommutative(a):
+        assert len(findim._generators(a)) <= a.dim
     verdict = is_simple(a)
     # A is central simple exactly when its multiplication algebra is all
     # of End(A) (Burnside); every simple algebra here is central
     assert verdict == (len(dense) == a.dim ** 2)
     monkeypatch.setattr(findim, "mult_algebra_basis", dense_mult_algebra_basis)
     assert is_simple(build()) == verdict
+
+
+@pytest.mark.parametrize(
+    "name", ["sl(2)", "sl(3)", "sl(4)", "mat(2)", "mat(3)", "quaternions"])
+def test_lazy_candidates_match_the_eager_draws(name):
+    a = _SPIN_ALGEBRAS[name]()
+    basis = mult_algebra_basis(a)
+    lazy = findim._simple_candidates(a, basis)
+    assert list(lazy) == eager_simple_candidates(a, basis)
+
+
+_ORACLE_ALGEBRAS = {
+    "sl(2)": lambda: sl_algebra(2, F1),
+    "sl(3)": lambda: sl_algebra(3, F1),
+    "sl(4)": lambda: sl_algebra(4, F1),
+    "mat(2)": lambda: matrix_algebra(2, F1),
+    "mat(3)": lambda: matrix_algebra(3, F1),
+    "quaternions/Q(i)": lambda: quaternion_algebra(F4),
+    "sl(2)+sl(2)": lambda: direct_sum(sl_algebra(2, F1), sl_algebra(2, F1)),
+    "sl(2)+sl(3)": lambda: direct_sum(sl_algebra(2, F1), sl_algebra(3, F1)),
+    "zero(3)": lambda: zero_algebra(3, F1),
+}
+
+
+def _spin_probes(a, rng):
+    """The zero vector, a basis vector, random vectors, and one kernel
+    vector of f(theta) for each factor f of the characteristic polynomial
+    of the first two candidates theta of the simplicity search."""
+    field = a.field
+
+    def entry():
+        return field.from_coeffs(
+            [rng.randint(-2, 2) for _ in range(field.degree)])
+
+    probes = [a.zero(), a.basis_vector(a.dim - 1)]
+    probes += [tuple(entry() for _ in range(a.dim)) for _ in range(3)]
+    candidates = findim._simple_candidates(a, mult_algebra_basis(a))
+    for theta in (next(candidates), next(candidates)):
+        for f, _ in polyfactor.factor(charpoly(theta, field), field):
+            ftheta = findim._matrix_poly(f, theta, field)
+            probes.append(kernel_basis(ftheta, a.dim, field)[0])
+    return probes
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_ALGEBRAS))
+def test_generator_spin_matches_the_module_closure_oracle(name):
+    # the spin closes v under the independent L_i and R_i only; the oracle
+    # closes it under every L_i and R_i
+    a = _ORACLE_ALGEBRAS[name]()
+    gens = findim._generators(a)
+    columns = [cols for cols, _ in gens]
+    tcolumns = [rows for _, rows in gens]
+    rng = random.Random(SEED + 3)
+    for v in _spin_probes(a, rng):
+        assert findim._spin(columns, v, a.dim) == mult_module_closure(a, [v]).dim
+        assert (findim._spin(tcolumns, v, a.dim)
+                == transposed_module_closure(a, [v]).dim)
+
+
+def test_is_simple_on_sl5_and_a_sum_of_two_simple_lie_algebras():
+    assert is_simple(sl_algebra(5, F1))
+    assert not is_simple(direct_sum(sl_algebra(2, F1), sl_algebra(3, F1)))
+
+
+def test_exhausted_simplicity_search_says_what_it_tried(monkeypatch):
+    # with every factor reported twice, no factor certifies irreducibility
+    factor = polyfactor.factor
+    monkeypatch.setattr(
+        findim.polyfactor, "factor",
+        lambda p, field: [(f, 2) for f, _ in factor(p, field)])
+    with pytest.raises(Undecided) as info:
+        is_simple(sl_algebra(2, F1))
+    assert str(info.value) == (
+        "simplicity search exhausted without a certifying element: "
+        "31 candidates drawn, 74 spins made, 0 multiplicity-one factors met; "
+        "multiplication algebra dimension 9 over module dimension 3"
+    )
 
 
 # -- basis change -----------------------------------------------------------

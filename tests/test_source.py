@@ -106,6 +106,58 @@ def test_every_export_is_used():
     assert unused == []
 
 
+def _private_definitions(tree) -> list:
+    """(name, line) of each module-level def, class or assignment that
+    binds a private name; dunders are left out."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [target.id for t in node.targets for target in ast.walk(t)
+                     if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                             ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        out += [(name, node.lineno) for name in names
+                if name.startswith("_") and not name.startswith("__")]
+    return out
+
+
+def _reads(tree) -> set:
+    """Names a module loads, imports or looks up as attributes."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def test_every_private_name_is_read():
+    # a private helper that lost its last caller in the package is dead
+    # code; tests may still read it, but only package code counts here
+    paths = sorted(SRC.parent.rglob("*.py"))
+    assert paths, f"no sources under {SRC.parent}"
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in paths
+    }
+    read = set().union(*(_reads(tree) for tree in trees.values()))
+    unread = [
+        f"{path.name}:{line} {name}"
+        for path, tree in trees.items() if path.parent == SRC
+        for name, line in _private_definitions(tree) if name not in read
+    ]
+    assert unread == []
+
+
 def _unused_imports(path) -> list:
     """Names a module imports but never reads."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
