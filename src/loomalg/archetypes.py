@@ -194,10 +194,14 @@ def _find_cartan(a: StructureAlgebra, seed: int):
         if len(cent) == len(family):
             return family, blocks
         candidates = _centralizer_candidates(cent, field, rng)
+        unfilled = 0
         for tried, z in enumerate(candidates, start=1):
             if tried > budget:
                 raise NotSplit(
-                    "no split toral extension found within the retry budget"
+                    "no split toral extension found within the retry budget: "
+                    f"{budget} candidates tried, {unfilled} failed to fill "
+                    f"the blocks; family size {len(family)}, centralizer "
+                    f"dimension {len(cent)}"
                 )
             if span.contains(z):
                 continue
@@ -205,6 +209,7 @@ def _find_cartan(a: StructureAlgebra, seed: int):
             refined = _split_blocks(op, blocks, field)
             if refined is not None:
                 break
+            unfilled += 1
         family.append(z)
         span.add(z)
         rows.extend(op.matrix)

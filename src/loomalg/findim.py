@@ -24,7 +24,6 @@ from .linalg import (
     sparse_columns,
     transpose,
     unit_vector,
-    vec_add,
     vec_is_zero,
     zero_vector,
 )
@@ -323,32 +322,50 @@ def is_associative(a: StructureAlgebra) -> bool:
     return a._facts["associative"]
 
 
+def _times(acc: dict, vec, prods, k: int):
+    """acc += vec e_k, with vec given by its nonzero (index, coefficient)
+    pairs and prods the algebra's sparse product table."""
+    for l, c in vec:
+        for m, d in prods[l][k]:
+            cur = acc.get(m)
+            acc[m] = c * d if cur is None else cur + c * d
+
+
 def _is_associative(a: StructureAlgebra) -> bool:
-    basis = a.basis()
-    for x in basis:
-        for y in basis:
-            xy = a.multiply(x, y)
-            for z in basis:
-                if a.multiply(xy, z) != a.multiply(x, a.multiply(y, z)):
+    """(e_i e_j) e_k = e_i (e_j e_k) for every basis triple, both sides
+    summed from the sparse product table."""
+    prods = a._products
+    n = a.dim
+    for i in range(n):
+        for j in range(n):
+            xy = prods[i][j]
+            for k in range(n):
+                acc = {}
+                _times(acc, xy, prods, k)
+                for l, c in prods[j][k]:
+                    for m, d in prods[i][l]:
+                        cd = c * d
+                        cur = acc.get(m)
+                        acc[m] = -cd if cur is None else cur - cd
+                if any(acc.values()):
                     return False
     return True
 
 
 def satisfies_jacobi(a: StructureAlgebra) -> bool:
-    basis = a.basis()
-    for i, x in enumerate(basis):
-        for j in range(i + 1, a.dim):
-            y = basis[j]
-            for k in range(j + 1, a.dim):
-                z = basis[k]
-                s = vec_add(
-                    vec_add(
-                        a.multiply(a.multiply(x, y), z),
-                        a.multiply(a.multiply(y, z), x),
-                    ),
-                    a.multiply(a.multiply(z, x), y),
-                )
-                if not vec_is_zero(s):
+    """(xy)z + (yz)x + (zx)y = 0 for every triple of distinct basis
+    vectors x = e_i, y = e_j, z = e_k with i < j < k, summed from the
+    sparse product table."""
+    prods = a._products
+    n = a.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                acc = {}
+                _times(acc, prods[i][j], prods, k)
+                _times(acc, prods[j][k], prods, i)
+                _times(acc, prods[k][i], prods, j)
+                if any(acc.values()):
                     return False
     return True
 
@@ -544,19 +561,17 @@ def mult_algebra_basis(a: StructureAlgebra):
     L_i, so half the products are skipped.  Accepted elements and the
     generators are held as sparse rows; each product is formed sparsely,
     keyed by (row, column), and enters the echelon as it is.  Only accepted
-    products are densified."""
+    products are densified.  At rank n^2 the basis spans every matrix and
+    no later product could be independent, so the search stops there."""
     n = a.dim
     zero = a.field.zero
 
-    def sparse_rows(m):
-        return [[(j, x) for j, x in enumerate(row) if x] for row in m]
-
     gens = [rows for _, rows in _generators(a)]
-    ident = identity_matrix(a.field, n)
+    one = a.field.one
     ech = SparseEchelon()
-    ech.add_row({(i, i): a.field.one for i in range(n)})
-    basis = [ident]
-    queue = [sparse_rows(ident)]
+    ech.add_row({(i, i): one for i in range(n)})
+    basis = [identity_matrix(a.field, n)]
+    queue = [[[(i, one)] for i in range(n)]]
     while queue:
         m = queue.pop()
         for g in gens:
@@ -567,12 +582,16 @@ def mult_algebra_basis(a: StructureAlgebra):
                         cur = prod.get((i, k))
                         prod[i, k] = x * y if cur is None else cur + x * y
             if ech.add_row(prod) is not None:
-                dense = tuple(
-                    tuple(prod.get((i, k), zero) for k in range(n))
-                    for i in range(n)
-                )
-                basis.append(dense)
-                queue.append(sparse_rows(dense))
+                rows = [[] for _ in range(n)]
+                dense = [[zero] * n for _ in range(n)]
+                for (i, k), x in prod.items():
+                    if x:
+                        rows[i].append((k, x))
+                        dense[i][k] = x
+                basis.append(tuple(tuple(row) for row in dense))
+                if ech.rank == n * n:
+                    return basis
+                queue.append(rows)
     return basis
 
 
@@ -639,7 +658,8 @@ def is_simple(a: StructureAlgebra) -> bool:
     under their transposes is the transposed module's.  Proper ideals are
     hunted by spinning basis vectors and kernel vectors of factored
     characteristic polynomials of seeded pseudo-random elements of the
-    multiplication algebra, which serves only to supply those elements.
+    multiplication algebra, which serves only to supply those elements and
+    is built only when every basis-vector spin fills A.
     Irreducibility is certified through a factor of multiplicity one
     (Norton's criterion) by spinning one kernel vector in the module and
     one in the transposed module.  The verdict is stored on `a`.
@@ -658,7 +678,6 @@ def _is_simple(a: StructureAlgebra) -> bool:
     ):
         return False
     field = a.field
-    basis_mats = mult_algebra_basis(a)
     gens = _generators(a)
     columns = [cols for cols, _ in gens]
     tcolumns = [rows for _, rows in gens]
@@ -667,6 +686,7 @@ def _is_simple(a: StructureAlgebra) -> bool:
         if _spin(columns, a.basis_vector(i), n) < n:
             return False
 
+    basis_mats = mult_algebra_basis(a)
     drawn = simple_factors = 0
     for theta in _simple_candidates(a, basis_mats):
         drawn += 1
@@ -699,16 +719,16 @@ def _is_simple(a: StructureAlgebra) -> bool:
 
 
 def _matrix_poly(coeffs, m, field):
+    """f(m) by Horner's rule; a coefficient is added on the diagonal only."""
     n = len(m)
-    acc = tuple(tuple(field.zero for _ in range(n)) for _ in range(n))
-    for c in reversed(coeffs):
-        acc = mat_mul(acc, m)
+    acc = [[field.zero] * n for _ in range(n)]
+    for k, c in enumerate(reversed(coeffs)):
+        if k:
+            acc = [list(row) for row in mat_mul(acc, m)]
         if c:
-            acc = tuple(
-                tuple(acc[i][j] + (c if i == j else field.zero) for j in range(n))
-                for i in range(n)
-            )
-    return acc
+            for i in range(n):
+                acc[i][i] = acc[i][i] + c
+    return tuple(tuple(row) for row in acc)
 
 
 def property_report(a: StructureAlgebra) -> dict:

@@ -95,10 +95,6 @@ def transpose(m):
     return tuple(zip(*m))
 
 
-def trace(m):
-    return sum((m[i][i] for i in range(len(m))), start=m[0][0].field.zero)
-
-
 class SparseEchelon:
     """Row echelon accumulator over arbitrary orderable column keys.
 
@@ -241,22 +237,79 @@ def column_kernel(keys, columns, field):
 
 
 def charpoly(m, field: CycloField):
-    """Characteristic polynomial of a square matrix, low degree first, monic."""
+    """Characteristic polynomial det(x - m) of a square matrix, low degree
+    first, monic.
+
+    m is first brought to upper Hessenberg form h = P m P^-1 by similarity.
+    det(x - P m P^-1) = det(P (x - m) P^-1) = det(x - m), so the polynomial
+    is unchanged.  Column c is cleared below its subdiagonal entry, with the
+    first nonzero entry at or below the subdiagonal as pivot, moved there by
+    a row swap and the matching column swap.  A pivot only has to be
+    nonzero, and zero is decided exactly in the field, so every pivot and
+    every multiplier is exact.  The leading principal minors p_k of x - h
+    then satisfy
+
+        p_k = (x - h_kk) p_(k-1)
+              - sum_(i<k) h_ik h_(i+1,i) h_(i+2,i+1) ... h_(k,k-1) p_(i-1)
+
+    and p_n is the answer (Cohen, A Course in Computational Algebraic
+    Number Theory, Alg. 2.2.9).  Both steps take O(n^3) field operations,
+    and a zero subdiagonal entry ends the sum early."""
     n = len(m)
-    coeffs = [field.zero] * (n + 1)
-    coeffs[n] = field.one
-    ak = m
-    ck = field.one
-    for k in range(1, n + 1):
-        if k > 1:
-            shifted = tuple(
-                tuple(ak[i][j] + (ck if i == j else field.zero) for j in range(n))
-                for i in range(n)
-            )
-            ak = mat_mul(m, shifted)
-        ck = -(trace(ak) / k)
-        coeffs[n - k] = ck
-    return coeffs
+    h = [list(row) for row in m]
+    for c in range(n - 2):
+        r = c + 1
+        piv = next((i for i in range(r, n) if h[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            h[piv], h[r] = h[r], h[piv]
+            for row in h:
+                row[piv], row[r] = row[r], row[piv]
+        inv = h[r][c].inverse()
+        # the pivot row is zero before column c, and row i - u * (pivot
+        # row) is zero at column c by the choice of u
+        pivot_row = [(j, h[r][j]) for j in range(r, n) if h[r][j]]
+        mults = []
+        for i in range(r + 1, n):
+            row = h[i]
+            if not row[c]:
+                continue
+            u = row[c] * inv
+            row[c] = field.zero
+            for j, x in pivot_row:
+                row[j] = row[j] - u * x
+            mults.append((i, u))
+        # the inverse similarity: column r gains u times column i
+        for row in h:
+            acc = row[r]
+            for i, u in mults:
+                y = row[i]
+                if y:
+                    acc = acc + u * y
+            row[r] = acc
+    minors = [[field.one]]
+    for k in range(n):
+        prev = minors[k]
+        hkk = h[k][k]
+        p = [field.zero] + prev  # x p_(k-1)
+        if hkk:
+            for d, y in enumerate(prev):
+                if y:
+                    p[d] = p[d] - hkk * y
+        t = field.one
+        for i in range(k - 1, -1, -1):
+            t = t * h[i + 1][i]
+            if not t:
+                break
+            hik = h[i][k]
+            if hik:
+                s = hik * t
+                for d, y in enumerate(minors[i]):
+                    if y:
+                        p[d] = p[d] - s * y
+        minors.append(p)
+    return minors[n]
 
 
 class Subspace:

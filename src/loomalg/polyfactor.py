@@ -497,13 +497,22 @@ def _factor_squarefree(p, field: CycloField):
 
 
 def factor(p, field: CycloField | None = None):
-    """Monic irreducible factors with multiplicities, deterministically ordered."""
+    """Monic irreducible factors with multiplicities, deterministically ordered.
+
+    The power x^k dividing p is split off first: k is the number of zero
+    coefficients at the low end, x is irreducible, and p / x^k is the rest
+    of p with those coefficients dropped.  Only that cofactor, prime to x,
+    goes through Yun's decomposition and the norm method, so the
+    characteristic polynomial x^n of a nilpotent map costs no gcd.  The
+    factorization is unique, so the result is the same as factoring p
+    whole."""
     p = ptrim(p[:])
     if not p or pdeg(p) == 0:
         return []
     field = field or p[0].field
-    out = []
-    for g, k in squarefree_decomposition(p):
+    zeros = next(i for i, c in enumerate(p) if c)
+    out = [([field.zero, field.one], zeros)] if zeros else []
+    for g, k in squarefree_decomposition(p[zeros:]):
         for f in _factor_squarefree(g, field):
             out.append((f, k))
     out.sort(key=lambda fm: (pdeg(fm[0]), _poly_sort_key(fm[0])))

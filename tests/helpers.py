@@ -22,7 +22,6 @@ from loomalg.linalg import (
     SpanSolver,
     SparseEchelon,
     Subspace,
-    charpoly,
     column_kernel,
     identity_matrix,
     kernel_basis,
@@ -133,6 +132,25 @@ def zero_algebra(n, field):
     """The n-dimensional algebra with every product zero."""
     z = tuple(zero_vector(field, n) for _ in range(n))
     return StructureAlgebra(field, tuple(z for _ in range(n)))
+
+
+def cross_product_algebra(field):
+    """so(3) as the cross product on three coordinates: e0 x e1 = e2 and
+    cyclically.  Split exactly when the field holds a square root of -1."""
+    zero = tuple(field.zero for _ in range(3))
+
+    def e(k, sign=1):
+        return tuple(
+            field.from_rational(sign) if q == k else field.zero
+            for q in range(3)
+        )
+
+    table = [[zero] * 3 for _ in range(3)]
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        table[i][j] = e(k)
+        table[j][i] = e(k, -1)
+    return StructureAlgebra(field, table)
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -575,6 +593,66 @@ def dense_mult_algebra_basis(a: StructureAlgebra):
     return basis
 
 
+def trace(m):
+    """Sum of the diagonal entries of a nonempty square matrix."""
+    return sum((m[i][i] for i in range(len(m))), start=m[0][0].field.zero)
+
+
+def faddeev_leverrier_charpoly(m, field):
+    """Oracle for linalg.charpoly by the Faddeev-LeVerrier recurrence:
+    A_1 = m, c_(n-1) = -tr A_1, and A_k = m (A_(k-1) + c_(n-k+1) I) with
+    c_(n-k) = -tr(A_k) / k.  Low degree first, monic."""
+    n = len(m)
+    coeffs = [field.zero] * (n + 1)
+    coeffs[n] = field.one
+    ak = m
+    ck = field.one
+    for k in range(1, n + 1):
+        if k > 1:
+            shifted = tuple(
+                tuple(ak[i][j] + (ck if i == j else field.zero) for j in range(n))
+                for i in range(n)
+            )
+            ak = mat_mul(m, shifted)
+        ck = -(trace(ak) / k)
+        coeffs[n - k] = ck
+    return coeffs
+
+
+def dense_is_associative(a: StructureAlgebra) -> bool:
+    """Oracle for findim._is_associative: (xy)z = x(yz) on every triple of
+    basis vectors, each product a dense multiply."""
+    basis = a.basis()
+    for x in basis:
+        for y in basis:
+            xy = a.multiply(x, y)
+            for z in basis:
+                if a.multiply(xy, z) != a.multiply(x, a.multiply(y, z)):
+                    return False
+    return True
+
+
+def dense_satisfies_jacobi(a: StructureAlgebra) -> bool:
+    """Oracle for findim.satisfies_jacobi: the three cyclic terms of every
+    triple of distinct basis vectors, each product a dense multiply."""
+    basis = a.basis()
+    for i, x in enumerate(basis):
+        for j in range(i + 1, a.dim):
+            y = basis[j]
+            for k in range(j + 1, a.dim):
+                z = basis[k]
+                s = vec_add(
+                    vec_add(
+                        a.multiply(a.multiply(x, y), z),
+                        a.multiply(a.multiply(y, z), x),
+                    ),
+                    a.multiply(a.multiply(z, x), y),
+                )
+                if not vec_is_zero(s):
+                    return False
+    return True
+
+
 def naive_multiply(a: StructureAlgebra, x, y):
     """Oracle for StructureAlgebra.multiply: the dense triple loop over the
     structure-constant table, every product formed."""
@@ -628,7 +706,7 @@ def kernel_centroid_grading(grading: ModGrading) -> ModGrading:
 def _split_spectrum(m, field):
     """Distinct eigenvalues when m is diagonalizable with all eigenvalues in
     the field; None otherwise."""
-    cp = charpoly(m, field)
+    cp = faddeev_leverrier_charpoly(m, field)
     factors = polyfactor.factor(cp, field)
     if any(polyfactor.pdeg(f) != 1 for f, _ in factors):
         return None
@@ -720,7 +798,7 @@ def reference_joint_eigenspaces(a: StructureAlgebra, family):
             r = _restricted_matrix(op, block, field)
             if r is None:
                 raise NotSplit("adjoint action does not preserve a block")
-            cp = charpoly(r, field)
+            cp = faddeev_leverrier_charpoly(r, field)
             total = 0
             for lam, _mult in polyfactor.roots_in_field(cp, field):
                 k = len(block)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    cross_product_algebra,
     reference_find_cartan,
     reference_joint_eigenspaces,
     zero_algebra,
@@ -92,9 +93,15 @@ def test_archetype_constructor_validates():
 # -- Lie classification -----------------------------------------------------
 
 
-@pytest.mark.parametrize("n,label", [(2, "A1"), (3, "A2"), (4, "A3")])
-def test_special_linear_gets_a_series(n, label):
-    field = CycloField(4)
+@pytest.mark.parametrize("n,order,label", [
+    pytest.param(2, 4, "A1", id="2-A1"),
+    pytest.param(3, 4, "A2", id="3-A2"),
+    pytest.param(4, 4, "A3", id="4-A3"),
+    # 24 dimensions: the largest typing in the suite
+    pytest.param(5, 1, "A4", id="5-A4-over-Q"),
+])
+def test_special_linear_gets_a_series(n, order, label):
+    field = CycloField(order)
     a = sl_algebra(n, field)
     arch = lie_split_type(a)
     assert arch.variety == "Lie"
@@ -141,25 +148,6 @@ def test_label_survives_change_of_basis():
         assert lie_split_type(b).label == "A1"
 
 
-def cross_product_algebra(field):
-    """so(3) as the cross product on three coordinates: e0 x e1 = e2 and
-    cyclically.  Split exactly when the field holds a square root of -1."""
-    zero = tuple(field.zero for _ in range(3))
-
-    def e(k, sign=1):
-        return tuple(
-            field.from_rational(sign) if q == k else field.zero
-            for q in range(3)
-        )
-
-    table = [[zero] * 3 for _ in range(3)]
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        table[i][j] = e(k)
-        table[j][i] = e(k, -1)
-    return StructureAlgebra(field, table)
-
-
 # (kind, size, field order); "basis" k is the k-th change of basis of sl(2)
 _SEARCH_CASES = (
     [("sl", n, order) for n in (2, 3) for order in (1, 3, 4, 12)]
@@ -197,7 +185,14 @@ def test_cartan_search_matches_the_two_pass_oracle(case, seed):
 def test_cross_product_splits_only_with_a_square_root_of_minus_one():
     with pytest.raises(NotSplit) as err:
         lie_split_type(cross_product_algebra(CycloField(1)))
-    assert "no split toral extension" in str(err.value)
+    # the error says what was tried: the three zero draws lie in the empty
+    # family's span and are skipped; every other draw has an irreducible
+    # quadratic factor x^2 + c in its adjoint characteristic polynomial
+    assert str(err.value) == (
+        "no split toral extension found within the retry budget: "
+        "78 candidates tried, 75 failed to fill the blocks; "
+        "family size 0, centralizer dimension 3"
+    )
     assert lie_split_type(cross_product_algebra(CycloField(4))).label == "A1"
 
 

@@ -10,7 +10,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
+    cross_product_algebra,
+    dense_is_associative,
     dense_mult_algebra_basis,
+    dense_satisfies_jacobi,
     eager_simple_candidates,
     mult_module_closure,
     naive_multiply,
@@ -22,6 +25,7 @@ from loomalg.errors import DimensionMismatch, LoomError, Undecided
 from loomalg.exactnum import CycloField
 from loomalg.findim import (
     LinearMap,
+    StructureAlgebra,
     centre,
     centroid,
     centroid_algebra,
@@ -386,6 +390,24 @@ def test_sparse_mult_algebra_basis_matches_the_dense_oracle(monkeypatch, name):
     assert is_simple(build()) == verdict
 
 
+def test_mult_algebra_is_built_only_after_the_basis_spins(monkeypatch):
+    # a basis-vector spin refutes simplicity of sl(2) + sl(4) before any
+    # candidate is drawn; sl(3) needs candidates, so one build
+    calls = []
+    original = findim.mult_algebra_basis
+
+    def counted(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(findim, "mult_algebra_basis", counted)
+    assert not is_simple(direct_sum(sl_algebra(2, F1), sl_algebra(4, F1)))
+    assert calls == []
+    a = sl_algebra(3, F1)
+    assert is_simple(a)
+    assert calls == [a]
+
+
 @pytest.mark.parametrize(
     "name", ["sl(2)", "sl(3)", "sl(4)", "mat(2)", "mat(3)", "quaternions"])
 def test_lazy_candidates_match_the_eager_draws(name):
@@ -519,3 +541,91 @@ def test_element_str_uses_labels():
     )
     s = a.element_str(v)
     assert "E11" in s and "E22" in s
+
+
+# -- identities on the sparse product table ---------------------------------
+
+
+def _table_algebra(field, n, products):
+    """The algebra on e_0..e_(n-1) with e_i e_j = sum of c e_k over the
+    (k, c) in products[i, j], every other product zero."""
+    zero = field.zero
+    table = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            vec = [zero] * n
+            for k, c in products.get((i, j), ()):
+                vec[k] = field.from_rational(c)
+            row.append(tuple(vec))
+        table.append(row)
+    return StructureAlgebra(field, table)
+
+
+def _jacobi_fails_last():
+    # anticommutative on e1, e2, e3 with e0 annihilating everything:
+    # [e1, e2] = e3 and [e2, e3] = e2 give the Jacobi sum -e3 at
+    # (1, 2, 3), the last triple, and zero at every triple with e0
+    return _table_algebra(F1, 4, {
+        (1, 2): [(3, 1)], (2, 1): [(3, -1)],
+        (2, 3): [(2, 1)], (3, 2): [(2, -1)],
+    })
+
+
+def _associativity_fails_last():
+    # e2 e2 = e1 and e1 e2 = e0: (e2 e2) e2 = e0 but e2 (e2 e2) = 0, and
+    # every other triple associates; (2, 2, 2) is the last triple
+    return _table_algebra(F1, 3, {(2, 2): [(1, 1)], (1, 2): [(0, 1)]})
+
+
+_IDENTITY_ALGEBRAS = {
+    "sl(2)": lambda: sl_algebra(2, F1),
+    "sl(3)/Q(zeta4)": lambda: sl_algebra(3, F4),
+    "sl(4)": lambda: sl_algebra(4, F1),
+    "mat(2)": lambda: matrix_algebra(2, F1),
+    "mat(3)/Q(zeta3)": lambda: matrix_algebra(3, F3),
+    "quaternions": quaternion_algebra,
+    "zero(3)": lambda: zero_algebra(3, F1),
+    "sl(2)+sl(3)": lambda: direct_sum(sl_algebra(2, F1), sl_algebra(3, F1)),
+    "mat(2)+sl(2)": lambda: direct_sum(matrix_algebra(2, F1),
+                                       sl_algebra(2, F1)),
+    "cross-product": lambda: cross_product_algebra(F1),
+    "jacobi-fails-once": _jacobi_fails_last,
+    "associativity-fails-once": _associativity_fails_last,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_IDENTITY_ALGEBRAS))
+def test_identity_checks_match_the_dense_oracles(name):
+    a = _IDENTITY_ALGEBRAS[name]()
+    assert satisfies_jacobi(a) == dense_satisfies_jacobi(a)
+    assert findim._is_associative(a) == dense_is_associative(a)
+
+
+def test_identity_check_algebras_cover_both_verdicts():
+    jac = _jacobi_fails_last()
+    assert is_anticommutative(jac) and not satisfies_jacobi(jac)
+    assert not is_lie(jac)
+    assoc = _associativity_fails_last()
+    assert not is_associative(assoc)
+    assert satisfies_jacobi(sl_algebra(4, F1))
+    assert is_associative(matrix_algebra(3, F3))
+    # (E11 E12) E21 + (E12 E21) E11 + (E21 E11) E12 = 2 E11 + E22
+    assert not satisfies_jacobi(matrix_algebra(2, F1))
+
+
+def test_matrix_poly_matches_the_sum_of_powers():
+    rng = random.Random(SEED + 9)
+    field = F4
+    n = 4
+    m = tuple(
+        tuple(field.from_coeffs([rng.randint(-2, 2), rng.randint(-2, 2)])
+              for _ in range(n))
+        for _ in range(n))
+    coeffs = [field.from_rational(c) for c in (3, 0, -1, 2)] + [field.one]
+    want = tuple(tuple(field.zero for _ in range(n)) for _ in range(n))
+    power = tuple(unit_vector(field, n, i) for i in range(n))
+    for c in coeffs:
+        want = tuple(vec_add(r, vec_scale(c, p)) for r, p in zip(want, power))
+        power = mat_mul(power, m)
+    assert findim._matrix_poly(coeffs, m, field) == want

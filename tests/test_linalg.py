@@ -10,8 +10,15 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import intersect, mat_apply, naive_mat_mul
+from helpers import (
+    faddeev_leverrier_charpoly,
+    intersect,
+    mat_apply,
+    naive_mat_mul,
+    trace,
+)
 from loomalg.exactnum import CycloField
+from loomalg.findim import sl_algebra
 from loomalg.fixtures import matrix_inverse
 from loomalg.linalg import (
     SpanSolver,
@@ -25,7 +32,6 @@ from loomalg.linalg import (
     mat_mul,
     rref,
     sparse_columns,
-    trace,
     transpose,
     unit_vector,
     vec_add,
@@ -195,6 +201,58 @@ def test_charpoly_matches_sympy_over_gaussians():
             w = sympy.expand(w)
             assert c.coeffs[0] == Fraction(str(sympy.re(w)))
             assert c.coeffs[1] == Fraction(str(sympy.im(w)))
+
+
+def _random_entry(rng, field):
+    return field.from_coeffs(
+        [rng.randint(-3, 3) for _ in range(field.degree)])
+
+
+def _charpoly_cases(field):
+    """(name, matrix) pairs of sizes 0 to 8 that exercise every branch of
+    the Hessenberg reduction: random, zero, strictly triangular, permutation
+    (zero subdiagonals force row and column swaps) and companion matrices,
+    and adjoints of random elements of sl(3) and sl(4)."""
+    rng = random.Random(SEED + field.order)
+    zero, one = field.zero, field.one
+    for n in range(9):
+        yield f"random-{n}", tuple(
+            tuple(_random_entry(rng, field) for _ in range(n))
+            for _ in range(n))
+        yield f"zero-{n}", tuple((zero,) * n for _ in range(n))
+        yield f"upper-{n}", tuple(
+            tuple(_random_entry(rng, field) if j > i else zero
+                  for j in range(n))
+            for i in range(n))
+        yield f"lower-{n}", tuple(
+            tuple(_random_entry(rng, field) if j < i else zero
+                  for j in range(n))
+            for i in range(n))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        yield f"permutation-{n}", tuple(
+            tuple(one if perm[i] == j else zero for j in range(n))
+            for i in range(n))
+        # companion of x^n + c_(n-1) x^(n-1) + ... + c_0
+        cs = [_random_entry(rng, field) for _ in range(n)]
+        yield f"companion-{n}", tuple(
+            tuple(-cs[i] if j == n - 1 else one if i == j + 1 else zero
+                  for j in range(n))
+            for i in range(n))
+    for size in (3, 4):
+        a = sl_algebra(size, field)
+        for k in range(2):
+            x = tuple(
+                _random_entry(rng, field) if rng.random() < 0.5 else zero
+                for _ in range(a.dim))
+            yield f"ad-sl{size}-{k}", a.left_mult(x).matrix
+
+
+@pytest.mark.parametrize("order", [1, 4, 12])
+def test_charpoly_matches_the_faddeev_leverrier_oracle(order):
+    field = CycloField(order)
+    for name, m in _charpoly_cases(field):
+        assert charpoly(m, field) == faddeev_leverrier_charpoly(m, field), name
 
 
 # -- matrix helpers ---------------------------------------------------------

@@ -266,6 +266,30 @@ def test_a_root_at_zero_is_pulled_out():
     assert factor(p12, F12) == sympy_factor(p12, F12)
 
 
+@pytest.mark.parametrize("order", [1, 4, 6])
+def test_powers_of_x_split_off_as_the_sympy_oracle_factors(order):
+    # x^n, then p x^k for k = 1..4, then p alone, with p(0) != 0; p has a
+    # repeated factor and one irreducible over Q
+    field = CycloField(order)
+    x = rational_poly(field, [0, 1])
+    for n in range(1, 7):
+        xn = product(field, [x] * n)
+        assert factor(xn, field) == [(x, n)] == sympy_factor(xn, field)
+    rng = random.Random(SEED + order)
+    for _ in range(3):
+        q = rand_poly(rng, field, 2)
+        q[0] = q[0] or field.one
+        r = rational_poly(field, [rng.choice([-3, -1, 2]), 0, 1])
+        p = product(field, [q, q, r])
+        assert p[0]
+        assert factor(p, field) == sympy_factor(p, field)
+        for k in range(1, 5):
+            pk = product(field, [p] + [x] * k)
+            got = factor(pk, field)
+            assert got == sympy_factor(pk, field)
+            assert (x, k) in got
+
+
 def test_coefficients_above_64_bits():
     big = 2**70 + 1
     p = product(F1, [
