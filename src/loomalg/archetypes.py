@@ -143,19 +143,26 @@ def _split_blocks(op, blocks, field):
     joint eigenspaces the blocks are, so op preserves each block and its
     eigenvalues there are roots of its characteristic polynomial.  The
     blocks fill the space, so filling every block is the same as op being
-    diagonalizable with all eigenvalues in the field."""
+    diagonalizable with all eigenvalues in the field.  Distinct roots have
+    independent eigenspaces, so a filled block takes no further roots."""
     lams = [lam for lam, _ in
             polyfactor.roots_in_field(charpoly(op.matrix, field))]
     refined = []
     for weight, block in blocks:
-        images = [op.apply(b) for b in block]
+        images = [
+            {j: x for j, x in enumerate(op.apply(b)) if x} for b in block
+        ]
+        supports = [[(j, x) for j, x in enumerate(b) if x] for b in block]
         filled = 0
         for lam in lams:
-            columns = [
-                {j: x for j, x in enumerate(vec_add(img, vec_scale(-lam, b)))
-                 if x}
-                for b, img in zip(block, images)
-            ]
+            if filled == len(block):
+                break
+            columns = []
+            for img, support in zip(images, supports):
+                col = dict(img)  # (op - lam) b
+                for j, x in support:
+                    col[j] = col[j] - lam * x if j in col else -(lam * x)
+                columns.append(col)
             vecs = []
             for sol in column_kernel(range(len(block)), columns, field):
                 v = zero_vector(field, op.dim)

@@ -1,7 +1,7 @@
 """Command-line entry points: `loomalg run FILE` and `loomalg fmt FILE`.
 
 Exit codes: 0 when every command passed, 1 when analysis ran but some
-command failed, 2 for usage and parse errors.  Files are read as UTF-8;
+command failed, 2 for usage, parse and file errors.  Files are read as UTF-8;
 diagnostics go to stderr, reports to stdout (or to --json OUT).
 """
 
@@ -97,8 +97,13 @@ def _cmd_run(args) -> int:
         sys.stdout.write(payload)
     else:
         if args.json:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                handle.write(payload)
+            try:
+                with open(args.json, "w", encoding="utf-8") as handle:
+                    handle.write(payload)
+            except OSError as exc:
+                print(f"loomalg: cannot write {args.json}: {exc.strerror}",
+                      file=sys.stderr)
+                return 2
         sys.stdout.write(render_text(report))
     return 0 if report["ok"] else 1
 

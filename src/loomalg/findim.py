@@ -18,6 +18,7 @@ from .linalg import (
     Subspace,
     charpoly,
     column_apply,
+    column_kernel,
     identity_matrix,
     kernel_basis,
     mat_mul,
@@ -109,8 +110,6 @@ class StructureAlgebra:
                 e = unit_vector(field, self.dim, j)
                 if self.multiply(self.unit, e) != e or self.multiply(e, self.unit) != e:
                     raise DimensionMismatch("declared unit is not a two-sided unit")
-        self._left_cache: dict = {}
-        self._right_cache: dict = {}
         self._facts: dict = {}  # verdicts and centroid, computed once
 
     def zero(self):
@@ -140,30 +139,22 @@ class StructureAlgebra:
                         acc[k] = acc[k] + c * pk
         return tuple(acc)
 
-    def left_mult_matrix(self, i: int):
-        """Matrix of left multiplication by basis vector i."""
-        m = self._left_cache.get(i)
-        if m is None:
-            cols = [self.table[i][j] for j in range(self.dim)]
-            m = tuple(zip(*cols))
-            self._left_cache[i] = m
-        return m
-
-    def right_mult_matrix(self, i: int):
-        m = self._right_cache.get(i)
-        if m is None:
-            cols = [self.table[j][i] for j in range(self.dim)]
-            m = tuple(zip(*cols))
-            self._right_cache[i] = m
-        return m
-
     def left_mult(self, x):
-        cols = [self.multiply(x, e) for e in self.basis()]
-        return LinearMap(self.field, tuple(zip(*cols)))
+        """x_0 L_0 + ... + x_(n-1) L_(n-1), summed from their columns."""
+        return self._operator_sum(x, _operators(self)[:self.dim])
 
     def right_mult(self, x):
-        cols = [self.multiply(e, x) for e in self.basis()]
-        return LinearMap(self.field, tuple(zip(*cols)))
+        """x_0 R_0 + ... + x_(n-1) R_(n-1), summed from their columns."""
+        return self._operator_sum(x, _operators(self)[self.dim:])
+
+    def _operator_sum(self, x, operators):
+        m = [[self.field.zero] * self.dim for _ in range(self.dim)]
+        for xi, columns in zip(x, operators):
+            if xi:
+                for j, col in enumerate(columns):
+                    for k, c in col:
+                        m[k][j] = m[k][j] + xi * c
+        return LinearMap(self.field, m)
 
     def element_str(self, vec) -> str:
         from .exactnum import cyclo_str
@@ -322,6 +313,25 @@ def is_associative(a: StructureAlgebra) -> bool:
     return a._facts["associative"]
 
 
+def _operators(a: StructureAlgebra) -> tuple:
+    """L_0, ..., L_(n-1), then R_0, ..., R_(n-1), in linalg's sparse column
+    form, read off the sparse product table: column j of L_i is e_i e_j and
+    column j of R_i is e_j e_i.  These are the only multiplication operators
+    the module forms; `_transposed` gives their row form."""
+    prods = a._products
+    return (*prods, *zip(*prods))
+
+
+def _transposed(columns) -> list:
+    """Column form of the transpose of a square matrix given in column form:
+    entry k lists the (j, c) with c at row k of column j."""
+    rows = [[] for _ in columns]
+    for j, col in enumerate(columns):
+        for k, c in col:
+            rows[k].append((j, c))
+    return rows
+
+
 def _times(acc: dict, vec, prods, k: int):
     """acc += vec e_k, with vec given by its nonzero (index, coefficient)
     pairs and prods the algebra's sparse product table."""
@@ -331,25 +341,27 @@ def _times(acc: dict, vec, prods, k: int):
             acc[m] = c * d if cur is None else cur + c * d
 
 
+def _associator(prods, i: int, j: int, k: int) -> dict:
+    """(e_i e_j) e_k - e_i (e_j e_k) as {index: coefficient}, summed from the
+    sparse product table; an entry may be zero."""
+    acc = {}
+    _times(acc, prods[i][j], prods, k)
+    for l, c in prods[j][k]:
+        for m, d in prods[i][l]:
+            cd = c * d
+            cur = acc.get(m)
+            acc[m] = -cd if cur is None else cur - cd
+    return acc
+
+
 def _is_associative(a: StructureAlgebra) -> bool:
-    """(e_i e_j) e_k = e_i (e_j e_k) for every basis triple, both sides
-    summed from the sparse product table."""
+    """(e_i e_j) e_k = e_i (e_j e_k) for every basis triple."""
     prods = a._products
     n = a.dim
-    for i in range(n):
-        for j in range(n):
-            xy = prods[i][j]
-            for k in range(n):
-                acc = {}
-                _times(acc, xy, prods, k)
-                for l, c in prods[j][k]:
-                    for m, d in prods[i][l]:
-                        cd = c * d
-                        cur = acc.get(m)
-                        acc[m] = -cd if cur is None else cur - cd
-                if any(acc.values()):
-                    return False
-    return True
+    return not any(
+        any(_associator(prods, i, j, k).values())
+        for i in range(n) for j in range(n) for k in range(n)
+    )
 
 
 def satisfies_jacobi(a: StructureAlgebra) -> bool:
@@ -389,76 +401,61 @@ def is_perfect(a: StructureAlgebra) -> bool:
 
 
 def centre(a: StructureAlgebra) -> Subspace:
-    """Elements commuting and associating with everything."""
+    """Elements commuting and associating with everything: the z with
+    [z, e_i] = 0 and (z, e_i, e_j) = (e_i, z, e_j) = (e_i, e_j, z) = 0 for
+    all i, j, where (x, y, w) = (xy)w - x(yw).  One kernel system in the
+    coordinates of z; the column of e_t holds those brackets with z = e_t."""
     n = a.dim
-    rows = []
-    basis = a.basis()
-    # z*e_i - e_i*z = 0
-    for i in range(n):
-        li = a.left_mult_matrix(i)
-        ri = a.right_mult_matrix(i)
-        for k in range(n):
-            rows.append(tuple(ri[k][t] - li[k][t] for t in range(n)))
-    # (z x) y - z (x y) and (x z) y - x (z y) and (x y) z - x (y z)
-    for i in range(n):
-        for j in range(n):
-            xy = a.multiply(basis[i], basis[j])
-            l_xy = a.left_mult(xy).matrix
-            r_xy = a.right_mult(xy).matrix
-            ri_mat = a.right_mult_matrix(i)
-            li_mat = a.left_mult_matrix(i)
-            rj = a.right_mult_matrix(j)
-            lj = a.left_mult_matrix(j)
-            m1 = mat_mul(rj, ri_mat)  # z -> (z e_i) e_j
-            for k in range(n):
-                rows.append(tuple(m1[k][t] - r_xy[k][t] for t in range(n)))
-            m2 = mat_mul(rj, li_mat)  # z -> (e_i z) e_j
-            m2b = mat_mul(li_mat, rj)  # z -> e_i (z e_j)
-            for k in range(n):
-                rows.append(tuple(m2[k][t] - m2b[k][t] for t in range(n)))
-            m3 = mat_mul(li_mat, lj)  # z -> e_i (e_j z)
-            for k in range(n):
-                rows.append(tuple(l_xy[k][t] - m3[k][t] for t in range(n)))
-    return Subspace(a.field, n, kernel_basis(rows, n, a.field))
+    prods = a._products
+    zero = a.field.zero
+    columns = []
+    for t in range(n):
+        col = {}
+        for i in range(n):
+            for m, c in prods[t][i]:
+                col[0, i, 0, m] = c
+            for m, c in prods[i][t]:
+                col[0, i, 0, m] = col.get((0, i, 0, m), zero) - c
+            for j in range(n):
+                for kind, xyw in enumerate(((t, i, j), (i, t, j), (i, j, t))):
+                    for m, c in _associator(prods, *xyw).items():
+                        col[kind + 1, i, j, m] = c
+        columns.append(col)
+    return Subspace(a.field, n, [
+        tuple(sol.get(t, zero) for t in range(n))
+        for sol in column_kernel(range(n), columns, a.field)
+    ])
 
 
 def centroid(a: StructureAlgebra) -> list[LinearMap]:
-    """Canonical basis of the maps chi with chi(xy) = chi(x)y = x chi(y)."""
+    """Canonical basis of the maps chi with chi(xy) = chi(x)y = x chi(y).
+
+    The unknowns are the entries chi[r][c], keyed (r, c).  For each basis
+    pair and coordinate k, (chi(e_i) e_j)_k reads row k of R_j and
+    (e_i chi(e_j))_k row k of L_i, both from the operators' row forms."""
     n = a.dim
+    prods = a._products
+    zero = a.field.zero
+    ops = [_transposed(columns) for columns in _operators(a)]
+    lrows, rrows = ops[:n], ops[n:]
     ech = SparseEchelon()
     for i in range(n):
         for j in range(n):
-            p = a.table[i][j]
+            p = prods[i][j]
             for k in range(n):
-                # chi(e_i e_j)_k - (chi(e_i) e_j)_k = 0
-                row = {}
-                for r in range(n):
-                    if p[r]:
-                        row[(k, r)] = p[r]
-                for s in range(n):
-                    c = a.table[s][j][k]
-                    if c:
-                        row[(s, i)] = row.get((s, i), a.field.zero) - c
-                ech.add_row({key: v for key, v in row.items() if v})
-                # chi(e_i e_j)_k - (e_i chi(e_j))_k = 0
-                row = {}
-                for r in range(n):
-                    if p[r]:
-                        row[(k, r)] = p[r]
-                for s in range(n):
-                    c = a.table[i][s][k]
-                    if c:
-                        row[(s, j)] = row.get((s, j), a.field.zero) - c
-                ech.add_row({key: v for key, v in row.items() if v})
+                # chi(e_i e_j)_k - (chi(e_i) e_j)_k = 0, then the same with
+                # (e_i chi(e_j))_k
+                for s_rows, col in ((rrows[j][k], i), (lrows[i][k], j)):
+                    row = {(k, r): c for r, c in p}
+                    for s, c in s_rows:
+                        row[s, col] = row.get((s, col), zero) - c
+                    ech.add_row(row)
     keys = [(r, c) for r in range(n) for c in range(n)]
-    sols = ech.kernel(keys, a.field)
-    maps = []
-    for sol in sols:
-        m = [[a.field.zero] * n for _ in range(n)]
-        for (r, c), v in sol.items():
-            m[r][c] = v
-        maps.append(LinearMap(a.field, m))
-    return maps
+    return [
+        LinearMap(a.field, [[sol.get((r, c), zero) for c in range(n)]
+                            for r in range(n)])
+        for sol in ech.kernel(keys, a.field)
+    ]
 
 
 def is_central(a: StructureAlgebra) -> bool:
@@ -525,27 +522,15 @@ def is_pfgc_findim(a: StructureAlgebra) -> bool:
 
 
 def _generators(a: StructureAlgebra):
-    """The linearly independent multiplications: L_0, ..., L_(n-1), then
-    R_0, ..., R_(n-1), each kept only when it lies outside the span of those
-    kept before it.  Each comes as (columns, rows) in linalg's sparse column
-    form, rows being the column form of its transpose; column j of L_i is
-    e_i e_j, and column j of R_i is e_j e_i."""
-    n = a.dim
-    prods = a._products
+    """The linearly independent multiplications among `_operators`, each kept
+    only when it lies outside the span of those kept before it, as
+    (columns, rows): its column form and that of its transpose."""
     ech = SparseEchelon()
     out = []
-    for columns in (
-        *(prods[i] for i in range(n)),
-        *(tuple(prods[j][i] for j in range(n)) for i in range(n)),
-    ):
+    for columns in _operators(a):
         row = {(j, k): c for j, col in enumerate(columns) for k, c in col}
-        if ech.add_row(row) is None:
-            continue
-        rows = [[] for _ in range(n)]
-        for j, col in enumerate(columns):
-            for k, c in col:
-                rows[k].append((j, c))
-        out.append((columns, rows))
+        if ech.add_row(row) is not None:
+            out.append((columns, _transposed(columns)))
     return out
 
 
@@ -646,8 +631,9 @@ def _simple_candidates(a: StructureAlgebra, basis_mats):
             )
         yield m
     for i in range(a.dim):
-        yield a.left_mult_matrix(i)
-        yield a.right_mult_matrix(i)
+        e = a.basis_vector(i)
+        yield a.left_mult(e).matrix
+        yield a.right_mult(e).matrix
 
 
 def is_simple(a: StructureAlgebra) -> bool:

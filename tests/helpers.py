@@ -178,7 +178,7 @@ def mult_module_closure(a: StructureAlgebra, vectors) -> Subspace:
     spanning = [v for v in vectors if solver.add(v)]
     for w in spanning:  # the list grows while it is walked
         for i in range(a.dim):
-            for m in (a.left_mult_matrix(i), a.right_mult_matrix(i)):
+            for m in (dense_left_mult(a, i), dense_right_mult(a, i)):
                 u = mat_apply(m, w)
                 if solver.add(u):
                     spanning.append(u)
@@ -193,7 +193,7 @@ def transposed_module_closure(a: StructureAlgebra, vectors) -> Subspace:
     spanning = [v for v in vectors if solver.add(v)]
     for w in spanning:  # the list grows while it is walked
         for i in range(a.dim):
-            for m in (a.left_mult_matrix(i), a.right_mult_matrix(i)):
+            for m in (dense_left_mult(a, i), dense_right_mult(a, i)):
                 u = mat_apply(transpose(m), w)
                 if solver.add(u):
                     spanning.append(u)
@@ -221,8 +221,8 @@ def eager_simple_candidates(a: StructureAlgebra, basis_mats):
             )
         candidates.append(m)
     for i in range(a.dim):
-        candidates.append(a.left_mult_matrix(i))
-        candidates.append(a.right_mult_matrix(i))
+        candidates.append(dense_left_mult(a, i))
+        candidates.append(dense_right_mult(a, i))
     return candidates
 
 
@@ -572,8 +572,8 @@ def dense_mult_algebra_basis(a: StructureAlgebra):
     element and a generator formed as a dense matrix and zero-tested entry
     by entry before it enters the echelon."""
     n = a.dim
-    gens = [a.left_mult_matrix(i) for i in range(n)]
-    gens += [a.right_mult_matrix(i) for i in range(n)]
+    gens = [dense_left_mult(a, i) for i in range(n)]
+    gens += [dense_right_mult(a, i) for i in range(n)]
     ident = identity_matrix(a.field, n)
     ech = SparseEchelon()
 
@@ -662,6 +662,93 @@ def naive_multiply(a: StructureAlgebra, x, y):
              for i in range(a.dim) for j in range(a.dim)), start=zero)
         for k in range(a.dim)
     )
+
+
+def dense_left_mult(a: StructureAlgebra, i: int):
+    """Oracle for the matrix of L_i: column j is the table entry e_i e_j."""
+    return transpose(a.table[i])
+
+
+def dense_right_mult(a: StructureAlgebra, i: int):
+    """Oracle for the matrix of R_i: column j is the table entry e_j e_i."""
+    return transpose([a.table[j][i] for j in range(a.dim)])
+
+
+def _dense_combination(a: StructureAlgebra, mats, x):
+    """sum of x_m mats[m] over the nonzero coordinates of x, as dense rows."""
+    acc = tuple(zero_vector(a.field, a.dim) for _ in range(a.dim))
+    for m, c in enumerate(x):
+        if c:
+            acc = tuple(vec_add(r, vec_scale(c, s))
+                        for r, s in zip(acc, mats[m]))
+    return acc
+
+
+def dense_centre(a: StructureAlgebra) -> Subspace:
+    """Oracle for findim.centre: the commutator and the three associator
+    conditions on z as dense matrices built from the L_i and R_i, every
+    row of every product handed to kernel_basis."""
+    n = a.dim
+    lmats = [dense_left_mult(a, i) for i in range(n)]
+    rmats = [dense_right_mult(a, i) for i in range(n)]
+    rows = []
+    # z*e_i - e_i*z = 0
+    for i in range(n):
+        li, ri = lmats[i], rmats[i]
+        for k in range(n):
+            rows.append(tuple(ri[k][t] - li[k][t] for t in range(n)))
+    # (z x) y - z (x y) and (x z) y - x (z y) and (x y) z - x (y z)
+    for i in range(n):
+        for j in range(n):
+            xy = a.table[i][j]
+            l_xy = _dense_combination(a, lmats, xy)
+            r_xy = _dense_combination(a, rmats, xy)
+            li, ri, lj, rj = lmats[i], rmats[i], lmats[j], rmats[j]
+            m1 = mat_mul(rj, ri)  # z -> (z e_i) e_j
+            for k in range(n):
+                rows.append(tuple(m1[k][t] - r_xy[k][t] for t in range(n)))
+            m2 = mat_mul(rj, li)  # z -> (e_i z) e_j
+            m2b = mat_mul(li, rj)  # z -> e_i (z e_j)
+            for k in range(n):
+                rows.append(tuple(m2[k][t] - m2b[k][t] for t in range(n)))
+            m3 = mat_mul(li, lj)  # z -> e_i (e_j z)
+            for k in range(n):
+                rows.append(tuple(l_xy[k][t] - m3[k][t] for t in range(n)))
+    return Subspace(a.field, n, kernel_basis(rows, n, a.field))
+
+
+def dense_centroid(a: StructureAlgebra):
+    """Oracle for findim.centroid: for every (i, j, k) both constraint rows
+    are read off the dense table, scanning every s, as sparse rows keyed
+    (row, column) of chi; the canonical kernel as dense matrices."""
+    n = a.dim
+    ech = SparseEchelon()
+    for i in range(n):
+        for j in range(n):
+            p = a.table[i][j]
+            for k in range(n):
+                # chi(e_i e_j)_k - (chi(e_i) e_j)_k = 0
+                row = {(k, r): p[r] for r in range(n) if p[r]}
+                for s in range(n):
+                    c = a.table[s][j][k]
+                    if c:
+                        row[(s, i)] = row.get((s, i), a.field.zero) - c
+                ech.add_row(row)
+                # chi(e_i e_j)_k - (e_i chi(e_j))_k = 0
+                row = {(k, r): p[r] for r in range(n) if p[r]}
+                for s in range(n):
+                    c = a.table[i][s][k]
+                    if c:
+                        row[(s, j)] = row.get((s, j), a.field.zero) - c
+                ech.add_row(row)
+    keys = [(r, c) for r in range(n) for c in range(n)]
+    maps = []
+    for sol in ech.kernel(keys, a.field):
+        m = [[a.field.zero] * n for _ in range(n)]
+        for (r, c), v in sol.items():
+            m[r][c] = v
+        maps.append(tuple(tuple(row) for row in m))
+    return maps
 
 
 def projection_stabilizes(tower, maps, u, box: DegreeBox) -> bool:

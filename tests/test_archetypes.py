@@ -13,7 +13,7 @@ from helpers import (
     reference_joint_eigenspaces,
     zero_algebra,
 )
-from loomalg import findim
+from loomalg import archetypes, findim
 from loomalg.archetypes import (
     Archetype,
     RootSystemData,
@@ -46,7 +46,7 @@ from loomalg.fixtures import (
     quantum_torus_tower,
     quaternion_algebra,
 )
-from loomalg.linalg import Subspace
+from loomalg.linalg import Subspace, column_kernel
 
 
 # -- registry ---------------------------------------------------------------
@@ -180,6 +180,26 @@ def test_cartan_search_matches_the_two_pass_oracle(case, seed):
     assert [Subspace(a.field, a.dim, vecs) for _, vecs in blocks] == [
         Subspace(a.field, a.dim, vecs) for _, vecs in old_blocks
     ]
+
+
+@pytest.mark.parametrize(
+    "n, order, solves", [(5, 1, 168), (4, 1, 79), (3, 4, 29)]
+)
+def test_split_blocks_stop_once_a_block_is_filled(n, order, solves,
+                                                  monkeypatch):
+    # a filled block tries no further roots, since eigenspaces for distinct
+    # roots are independent: typing sl(n) makes this many kernel solves
+    # (238, 111 and 36 when every root was tried on every block)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return column_kernel(*args)
+
+    monkeypatch.setattr(archetypes, "column_kernel", counted)
+    a = sl_algebra(n, CycloField(order))
+    assert lie_split_type(a).label == f"A{n - 1}"
+    assert len(calls) == solves
 
 
 def test_cross_product_splits_only_with_a_square_root_of_minus_one():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import pathlib
@@ -103,6 +104,20 @@ def test_missing_file_exit_two(tmp_path):
     proc = loomalg("run", str(tmp_path / "absent.loom"))
     assert proc.returncode == 2
     assert "cannot read" in proc.stderr
+
+
+@pytest.mark.parametrize("target, code", [
+    ("absent/out.json", errno.ENOENT),
+    (".", errno.EISDIR),
+], ids=["missing-directory", "directory"])
+def test_unwritable_json_out_exit_two(target, code, small_file, tmp_path):
+    out = tmp_path / target
+    proc = loomalg("run", str(small_file), "--json", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"loomalg: cannot write {out}: {os.strerror(code)}\n"
+    )
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("subcommand", ["run", "fmt"])

@@ -11,8 +11,12 @@ from hypothesis import strategies as st
 
 from helpers import (
     cross_product_algebra,
+    dense_centre,
+    dense_centroid,
     dense_is_associative,
+    dense_left_mult,
     dense_mult_algebra_basis,
+    dense_right_mult,
     dense_satisfies_jacobi,
     eager_simple_candidates,
     mult_module_closure,
@@ -51,6 +55,8 @@ from loomalg.linalg import (
     charpoly,
     kernel_basis,
     mat_mul,
+    sparse_columns,
+    transpose,
     unit_vector,
     vec_add,
     vec_is_zero,
@@ -198,12 +204,16 @@ def algebra_and_factors(draw):
 
 @given(algebra_and_factors())
 def test_multiply_matches_the_dense_table(factors):
-    # multiply reads the nonzero products built once per algebra;
-    # left_mult and right_mult go through it
+    # multiply, left_mult and right_mult read the nonzero products built
+    # once per algebra; on a basis vector the maps are the table's L_i, R_i
     a, x, y = factors
     assert a.multiply(x, y) == naive_multiply(a, x, y)
     assert a.left_mult(x).apply(y) == naive_multiply(a, x, y)
     assert a.right_mult(y).apply(x) == naive_multiply(a, x, y)
+    for i in range(a.dim):
+        e = a.basis_vector(i)
+        assert a.left_mult(e).matrix == dense_left_mult(a, i)
+        assert a.right_mult(e).matrix == dense_right_mult(a, i)
 
 
 # -- centroid invariants ----------------------------------------------------
@@ -600,6 +610,19 @@ def test_identity_checks_match_the_dense_oracles(name):
     a = _IDENTITY_ALGEBRAS[name]()
     assert satisfies_jacobi(a) == dense_satisfies_jacobi(a)
     assert findim._is_associative(a) == dense_is_associative(a)
+    assert centre(a) == dense_centre(a)
+    assert [chi.matrix for chi in centroid(a)] == dense_centroid(a)
+    # every operator, in column and row form, is the table's L_i, then R_i
+    dense = [dense_left_mult(a, i) for i in range(a.dim)]
+    dense += [dense_right_mult(a, i) for i in range(a.dim)]
+    ops = findim._operators(a)
+    assert ops == tuple(sparse_columns(m) for m in dense)
+    assert [tuple(map(tuple, findim._transposed(cols))) for cols in ops] == [
+        sparse_columns(transpose(m)) for m in dense]
+    for i in range(a.dim):
+        e = a.basis_vector(i)
+        assert a.left_mult(e).matrix == dense[i]
+        assert a.right_mult(e).matrix == dense[a.dim + i]
 
 
 def test_identity_check_algebras_cover_both_verdicts():

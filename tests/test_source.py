@@ -67,6 +67,22 @@ def test_scalar_layout_stays_in_exactnum():
     assert found == []
 
 
+def test_product_table_stays_in_findim():
+    # only findim reads an algebra's sparse product table, so its layout
+    # can change without touching any caller
+    bench = SRC.parent.parent / "bench"
+    found = []
+    for path in sorted([*SRC.glob("*.py"), *bench.glob("*.py")]):
+        if path.name == "findim.py" and path.parent == SRC:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno} ._products"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr == "_products"]
+    assert found == []
+
+
 def _identifiers(source: str) -> set:
     """Names a module reads, imports or looks up as attributes; the name a
     def or class statement binds is not among them."""
