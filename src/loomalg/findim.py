@@ -402,9 +402,11 @@ def is_perfect(a: StructureAlgebra) -> bool:
 
 def centre(a: StructureAlgebra) -> Subspace:
     """Elements commuting and associating with everything: the z with
-    [z, e_i] = 0 and (z, e_i, e_j) = (e_i, z, e_j) = (e_i, e_j, z) = 0 for
-    all i, j, where (x, y, w) = (xy)w - x(yw).  One kernel system in the
-    coordinates of z; the column of e_t holds those brackets with z = e_t."""
+    [z, e_i] = 0 and (z, e_i, e_j) = (e_i, z, e_j) = 0 for all i, j, where
+    (x, y, w) = (xy)w - x(yw).  These imply (x, y, z) = 0 as well:
+    (xy)z = z(xy) = (zx)y = (xz)y = x(zy) = x(yz), so that condition is
+    not posed.  One kernel system in the coordinates of z; the column of
+    e_t holds those brackets with z = e_t."""
     n = a.dim
     prods = a._products
     zero = a.field.zero
@@ -417,7 +419,7 @@ def centre(a: StructureAlgebra) -> Subspace:
             for m, c in prods[i][t]:
                 col[0, i, 0, m] = col.get((0, i, 0, m), zero) - c
             for j in range(n):
-                for kind, xyw in enumerate(((t, i, j), (i, t, j), (i, j, t))):
+                for kind, xyw in enumerate(((t, i, j), (i, t, j))):
                     for m, c in _associator(prods, *xyw).items():
                         col[kind + 1, i, j, m] = c
         columns.append(col)

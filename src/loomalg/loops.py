@@ -798,7 +798,14 @@ def inherited_flags(tower: LoopTower):
 
     Each loop flag records its provenance; nonzeroness and perfectness are
     additionally certified inside the window whose radii are the stage
-    moduli when they hold there."""
+    moduli when they hold there.
+
+    The perfectness certificate forms each unordered pair of window members
+    once when the base is commutative or Lie.  A Laurent product sums
+    a_d . b_e at degree d + e, so over such a base b . a = +-a . b, and
+    over a Lie base a . a = 0 (each a_d . a_d vanishes and the terms
+    a_d . a_e, a_e . a_d cancel).  The row space, and so the verdict, is
+    that of all ordered pairs; any other base takes every ordered pair."""
     base_report = property_report(tower.base)
     base = tower.base
 
@@ -823,9 +830,12 @@ def inherited_flags(tower: LoopTower):
         # span of pairwise window products must cover an inner window;
         # products of members stay members, so this certifies perfectness
         # of everything the inner window sees
+        lie = base_report["lie"]["value"]
+        unordered = lie or base_report["commutative"]["value"]
         ech = SparseEchelon()
-        for a in window:
-            for b in window:
+        for i, a in enumerate(window):
+            start = (i + 1 if lie else i) if unordered else 0
+            for b in window[start:]:
                 prod = laurent_multiply(base, a, b)
                 if not prod.is_zero():
                     ech.add_row(prod.sparse_items())

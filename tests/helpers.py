@@ -36,6 +36,7 @@ from loomalg.loops import (
     DegreeBox,
     LaurentElement,
     box_coordinates,
+    laurent_multiply,
     member_projection,
 )
 
@@ -151,6 +152,32 @@ def cross_product_algebra(field):
         table[i][j] = e(k)
         table[j][i] = e(k, -1)
     return StructureAlgebra(field, table)
+
+
+def column_ideal_algebra(field):
+    """The first column of mat(2), a left ideal: e0 = E_11 and e1 = E_21,
+    so e0 e0 = e0, e1 e0 = e1 and the other products vanish.  Associative
+    and perfect, but neither commutative nor anticommutative."""
+    one, zero = field.one, field.zero
+    return StructureAlgebra(field, [
+        [(one, zero), (zero, zero)],
+        [(zero, one), (zero, zero)],
+    ])
+
+
+def ordered_pair_products(tower):
+    """The nonzero a . b, as sparse rows, over every ordered pair of members
+    of the window whose radii are the stage moduli: the rows the perfectness
+    certificate of `loops.inherited_flags` spans on any base."""
+    box = DegreeBox(tuple(s.modulus for s in tower.stages))
+    window = tower.basis_in_box(box)
+    rows = []
+    for a in window:
+        for b in window:
+            prod = laurent_multiply(tower.base, a, b)
+            if not prod.is_zero():
+                rows.append(prod.sparse_items())
+    return rows
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:

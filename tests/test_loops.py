@@ -8,8 +8,11 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    column_ideal_algebra,
+    cross_product_algebra,
     element_from_box_coordinates,
     intersect,
+    ordered_pair_products,
     recursive_membership,
     recursive_projection,
     scaled_apply,
@@ -29,7 +32,7 @@ from loomalg.fixtures import (
     synthetic_kind_towers,
 )
 from loomalg.grading import FiniteOrderAuto
-from loomalg.linalg import Subspace, kernel_basis, vec_is_zero
+from loomalg.linalg import SparseEchelon, Subspace, kernel_basis, vec_is_zero
 from loomalg.loops import (
     DegreeBox,
     LaurentElement,
@@ -760,3 +763,81 @@ def test_inherited_flags_structure_and_agreement():
     # the base is perfect, so the window certificate upgrades the flag
     assert loop["perfect"]["source"] == "verified-in-box"
     assert loop["prime"]["value"] is True
+
+
+def _certificate_tower(name):
+    if name == "cross-product":
+        # so(3) is anticommutative; diag(1, -1, -1) is a rotation of order 2
+        field = CycloField(2)
+        base = cross_product_algebra(field)
+        one, zero = field.one, field.zero
+        rotation = FiniteOrderAuto(base, [
+            [one, zero, zero], [zero, -one, zero], [zero, zero, -one],
+        ])
+        return multiloop(base, [rotation], [field.zeta])
+    if name == "column-ideal":
+        # e1 t^2 is only e1 t . e0 t, and e0 t precedes e1 t in the window,
+        # so unordered pairs would miss it
+        field = CycloField(1)
+        base = column_ideal_algebra(field)
+        return multiloop(base, [FiniteOrderAuto.identity(base)], [field.one])
+    return _REGISTRY[name]["tower"]
+
+
+_CERTIFICATE_TOWERS = sorted(_REGISTRY) + ["column-ideal", "cross-product"]
+
+
+def _certificate_products(monkeypatch, tower):
+    """inherited_flags of the tower, and every product it formed."""
+    products = []
+
+    def recording(algebra, x, y):
+        prod = laurent_multiply(algebra, x, y)
+        products.append(prod)
+        return prod
+
+    monkeypatch.setattr(loops, "laurent_multiply", recording)
+    return inherited_flags(tower), products
+
+
+def _echelon(rows):
+    ech = SparseEchelon()
+    for row in rows:
+        ech.add_row(row)
+    return ech
+
+
+@pytest.mark.parametrize("name", _CERTIFICATE_TOWERS)
+def test_perfectness_certificate_spans_the_ordered_pair_rows(
+    monkeypatch, name
+):
+    # the registry has Lie (hermitian), commutative (synthetic) and neither
+    # (quantum-torus) bases; the cross product is anticommutative, and the
+    # column ideal is a base where the order of a pair matters
+    tower = _certificate_tower(name)
+    flags, products = _certificate_products(monkeypatch, tower)
+    rows = [p.sparse_items() for p in products if not p.is_zero()]
+    oracle_rows = ordered_pair_products(tower)
+    ech, oracle = _echelon(rows), _echelon(oracle_rows)
+    assert ech.rank == oracle.rank
+    assert not any(oracle.reduce_vector(row) for row in rows)
+    assert not any(ech.reduce_vector(row) for row in oracle_rows)
+    assert flags["loop"]["perfect"] == {
+        "value": True, "source": "verified-in-box",
+    }
+
+
+@pytest.mark.parametrize("name, count", [
+    # ordered pairs: 2,401, 324, 49, 64, 625 and 36
+    ("hermitian-2", 1176),
+    ("hermitian-1", 153),
+    ("cross-product", 21),
+    ("synthetic-b1", 36),
+    ("quantum-torus-2", 625),
+    ("column-ideal", 36),
+])
+def test_perfectness_certificate_product_counts(monkeypatch, name, count):
+    # w window members give w(w-1)/2 products over a Lie base, w(w+1)/2
+    # over a commutative one and w^2 otherwise
+    _, products = _certificate_products(monkeypatch, _certificate_tower(name))
+    assert len(products) == count
