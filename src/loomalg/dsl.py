@@ -16,7 +16,6 @@ objects happens here; everything else is the runner's job.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field as dc_field
 from math import lcm
 
 # Stable diagnostic codes.  Every code is exercised by a corpus file under
@@ -52,23 +51,73 @@ _RESERVED = frozenset((
 _PUNCT = frozenset(";=()[],+-*^/")
 
 
-@dataclass(frozen=True, slots=True)
-class Span:
-    line: int
-    col: int
-    end_line: int
-    end_col: int
+_set = object.__setattr__
+
+
+class _Record:
+    """Immutable slotted syntax-tree record.
+
+    A subclass lists its fields in __slots__ and sets them in its own
+    __init__ through _set.  Equality and hashing read the fields named in
+    _compared: by default every field but the source span, so a document
+    parsed back from its canonical form is equal to the original.  repr
+    shows every field."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+        if "_compared" not in cls.__dict__:
+            cls._compared = tuple(f for f in cls.__slots__ if f != "span")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f) for f in self.__slots__)
+
+
+class Span(_Record):
+    __slots__ = ("line", "col", "end_line", "end_col")
+
+    def __init__(self, line: int, col: int, end_line: int, end_col: int):
+        _set(self, "line", line)
+        _set(self, "col", col)
+        _set(self, "end_line", end_line)
+        _set(self, "end_col", end_col)
 
     def __str__(self):
         return f"{self.line}:{self.col}"
 
 
-@dataclass(frozen=True, slots=True)
-class Diagnostic:
-    severity: str
-    span: Span
-    message: str
-    code: str
+class Diagnostic(_Record):
+    __slots__ = ("severity", "span", "message", "code")
+    _compared = __slots__  # where a diagnostic points is part of it
+
+    def __init__(self, severity: str, span: Span, message: str, code: str):
+        _set(self, "severity", severity)
+        _set(self, "span", span)
+        _set(self, "message", message)
+        _set(self, "code", code)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.severity not in ("error", "warning"):
@@ -82,12 +131,14 @@ class Diagnostic:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    kind: str  # name | int | punct | eof
-    text: str
-    line: int
-    col: int
+class Token(_Record):
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        _set(self, "kind", kind)  # name | int | punct | eof
+        _set(self, "text", text)
+        _set(self, "line", line)
+        _set(self, "col", col)
 
     @property
     def span(self) -> Span:
@@ -162,33 +213,40 @@ def _lex(source: str):
 # syntax tree
 
 
-@dataclass(frozen=True, slots=True)
-class Scalar:
+class Scalar(_Record):
     """Exact literal:
     sign * (numerator/denominator) * zeta(zeta_order)^zeta_power."""
-    negative: bool = False
-    numerator: int = 1
-    denominator: int = 1
-    zeta_order: int | None = None
-    zeta_power: int = 1
+    __slots__ = ("negative", "numerator", "denominator", "zeta_order",
+                 "zeta_power")
+
+    def __init__(self, negative: bool = False, numerator: int = 1,
+                 denominator: int = 1, zeta_order: int | None = None,
+                 zeta_power: int = 1):
+        _set(self, "negative", negative)
+        _set(self, "numerator", numerator)
+        _set(self, "denominator", denominator)
+        _set(self, "zeta_order", zeta_order)
+        _set(self, "zeta_power", zeta_power)
 
 
-SCALAR_ZERO = Scalar(numerator=0)
-SCALAR_ONE = Scalar()
+
+class FieldDecl(_Record):
+    __slots__ = ("order", "span")
+
+    def __init__(self, order: int, span: Span = None):
+        _set(self, "order", order)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True, slots=True)
-class FieldDecl:
-    order: int
-    span: Span = dc_field(compare=False, default=None)
+class AlgebraDecl(_Record):
+    __slots__ = ("name", "kind", "size", "span")
 
-
-@dataclass(frozen=True, slots=True)
-class AlgebraDecl:
-    name: str
-    kind: str  # mat | sl | unit | quaternion
-    size: int | None
-    span: Span = dc_field(compare=False, default=None)
+    def __init__(self, name: str, kind: str, size: int | None,
+                 span: Span = None):
+        _set(self, "name", name)
+        _set(self, "kind", kind)  # mat | sl | unit | quaternion
+        _set(self, "size", size)
+        _set(self, "span", span)
 
     @property
     def dim(self) -> int:
@@ -208,41 +266,59 @@ class AlgebraDecl:
         return None
 
 
-@dataclass(frozen=True, slots=True)
-class AutoDecl:
-    name: str
-    kind: str  # conj | matrix | identity
-    target: str
-    entries: tuple  # tuple of row tuples of Scalar; () for identity
-    span: Span = dc_field(compare=False, default=None)
+class AutoDecl(_Record):
+    __slots__ = ("name", "kind", "target", "entries", "span")
+
+    def __init__(self, name: str, kind: str, target: str, entries: tuple,
+                 span: Span = None):
+        _set(self, "name", name)
+        _set(self, "kind", kind)  # conj | matrix | identity
+        _set(self, "target", target)
+        # tuple of row tuples of Scalar; () for identity
+        _set(self, "entries", entries)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True, slots=True)
-class GradingDecl:
-    name: str
-    auto: str
-    modulus: int | None
-    span: Span = dc_field(compare=False, default=None)
+class GradingDecl(_Record):
+    __slots__ = ("name", "auto", "modulus", "span")
+
+    def __init__(self, name: str, auto: str, modulus: int | None,
+                 span: Span = None):
+        _set(self, "name", name)
+        _set(self, "auto", auto)
+        _set(self, "modulus", modulus)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True, slots=True)
-class StageExpr:
-    auto: str
-    modulus: int
-    m_matrix: tuple | None  # integer rows; None means identity action
-    c_vector: tuple | None  # integers; None means zero character
-    char_order: int | None  # zeta(r) for the character; None means trivial
-    span: Span = dc_field(compare=False, default=None)
+class StageExpr(_Record):
+    __slots__ = ("auto", "modulus", "m_matrix", "c_vector", "char_order",
+                 "span")
+
+    def __init__(self, auto: str, modulus: int, m_matrix: tuple | None,
+                 c_vector: tuple | None, char_order: int | None,
+                 span: Span = None):
+        _set(self, "auto", auto)
+        _set(self, "modulus", modulus)
+        # integer rows; None means identity action
+        _set(self, "m_matrix", m_matrix)
+        # integers; None means zero character
+        _set(self, "c_vector", c_vector)
+        # zeta(r) for the character; None means trivial
+        _set(self, "char_order", char_order)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True, slots=True)
-class TowerDecl:
-    name: str
-    kind: str  # multiloop | loop
-    base: str
-    autos: tuple  # names, multiloop only
-    stages: tuple  # StageExpr, loop only
-    span: Span = dc_field(compare=False, default=None)
+class TowerDecl(_Record):
+    __slots__ = ("name", "kind", "base", "autos", "stages", "span")
+
+    def __init__(self, name: str, kind: str, base: str, autos: tuple,
+                 stages: tuple, span: Span = None):
+        _set(self, "name", name)
+        _set(self, "kind", kind)  # multiloop | loop
+        _set(self, "base", base)
+        _set(self, "autos", autos)  # names, multiloop only
+        _set(self, "stages", stages)  # StageExpr, loop only
+        _set(self, "span", span)
 
     @property
     def arity(self) -> int:
@@ -251,31 +327,42 @@ class TowerDecl:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class ReportOpt:
-    key: str  # box | seed
-    values: tuple
-    span: Span = dc_field(compare=False, default=None)
+class ReportOpt(_Record):
+    __slots__ = ("key", "values", "span")
+
+    def __init__(self, key: str, values: tuple, span: Span = None):
+        _set(self, "key", key)  # box | seed
+        _set(self, "values", values)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True, slots=True)
-class ElementTerm:
-    sign: int  # +1 or -1, the joiner sign
-    coeff: Scalar | None  # None means coefficient 1 written implicitly
-    label: str
-    degree: tuple
-    span: Span = dc_field(compare=False, default=None)
+class ElementTerm(_Record):
+    __slots__ = ("sign", "coeff", "label", "degree", "span")
+
+    def __init__(self, sign: int, coeff: Scalar | None, label: str,
+                 degree: tuple, span: Span = None):
+        _set(self, "sign", sign)  # +1 or -1, the joiner sign
+        # None means coefficient 1 written implicitly
+        _set(self, "coeff", coeff)
+        _set(self, "label", label)
+        _set(self, "degree", degree)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True, slots=True)
-class Command:
-    op: str  # check-grading | build-tower | centroid | kind | type
-             # | untwist | canonical-form
-    target: str
-    second: str | None = None
-    box: tuple | None = None
-    element: tuple | None = None
-    span: Span = dc_field(compare=False, default=None)
+class Command(_Record):
+    __slots__ = ("op", "target", "second", "box", "element", "span")
+
+    def __init__(self, op: str, target: str, second: str | None = None,
+                 box: tuple | None = None, element: tuple | None = None,
+                 span: Span = None):
+        # check-grading | build-tower | centroid | kind | type | untwist
+        # | canonical-form
+        _set(self, "op", op)
+        _set(self, "target", target)
+        _set(self, "second", second)
+        _set(self, "box", box)
+        _set(self, "element", element)
+        _set(self, "span", span)
 
 
 def _root_order(statements) -> int:

@@ -32,6 +32,12 @@ class DimensionMismatch(LoomError):
     code = "dimension-mismatch"
 
 
+class WindowTooLarge(LoomError):
+    """A command's degree window exceeds the runner's size limit."""
+
+    code = "window-too-large"
+
+
 class NotAnAutomorphism(LoomError):
     code = "not-an-automorphism"
 

@@ -30,7 +30,12 @@ from .dsl import (
     Scalar,
     TowerDecl,
 )
-from .errors import HypothesisNotMet, LoomError
+from .errors import (
+    DimensionMismatch,
+    HypothesisNotMet,
+    LoomError,
+    WindowTooLarge,
+)
 from .exactnum import CycloField, primitive_root
 from .findim import matrix_algebra, sl_algebra
 from .fixtures import (
@@ -56,6 +61,12 @@ from .loops import (
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 20260214
+# Largest window a command may run in, counted as box volume times base
+# dimension: the coordinates a window element has.  No fixture, test or
+# benchmark workload comes within a tenth of it.  The solve grows about
+# quadratically in the count, so a larger box is refused up front rather
+# than left to run for hours.
+WINDOW_LIMIT = 40_000
 
 
 def _mono_str(degree) -> str:
@@ -210,12 +221,22 @@ class _RunContext:
         for box in (self.box_override, cmd.box, self.document.report_box):
             if box is not None:
                 if len(box) != tower.n:
-                    raise LoomError(
+                    raise DimensionMismatch(
                         f"box has {len(box)} radii but the tower has "
                         f"{tower.n} stages"
                     )
-                return DegreeBox(tuple(box))
-        return tower.default_box()
+                window = DegreeBox(tuple(box))
+                break
+        else:
+            window = tower.default_box()
+        size = window.volume() * tower.base.dim
+        if size > WINDOW_LIMIT:
+            raise WindowTooLarge(
+                f"window {list(window.radius)} holds {size} coordinates "
+                f"(volume {window.volume()} times base dimension "
+                f"{tower.base.dim}); the limit is {WINDOW_LIMIT}"
+            )
+        return window
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 import sympy
@@ -15,6 +16,7 @@ from loomalg.centroid_loop import (
     stabilizer_in_box,
     window_span,
 )
+from loomalg.dsl import DIAGNOSTIC_CODES
 from loomalg.errors import DimensionMismatch, InvariantViolated, NotSplit
 from loomalg.findim import StructureAlgebra, centroid_algebra
 from loomalg.grading import ModGrading
@@ -939,3 +941,172 @@ def reference_joint_eigenspaces(a: StructureAlgebra, family):
             merged.setdefault(weight, []).extend(vecs)
         blocks = sorted(merged.items(), key=lambda t: _weight_key(t[0]))
     return blocks
+
+
+# -- syntax-tree records as dataclasses --------------------------------------
+# loomalg.dsl once declared its records as frozen slotted dataclasses.  These
+# are those definitions, kept as the reference that the hand-written records
+# must behave like: fields, defaults, equality and hashing without the span,
+# repr, frozenness and the Diagnostic checks.
+
+
+@dataclass(frozen=True, slots=True)
+class Span:
+    line: int
+    col: int
+    end_line: int
+    end_col: int
+
+    def __str__(self):
+        return f"{self.line}:{self.col}"
+
+
+@dataclass(frozen=True, slots=True)
+class Diagnostic:
+    severity: str
+    span: Span
+    message: str
+    code: str
+
+    def __post_init__(self):
+        if self.severity not in ("error", "warning"):
+            raise ValueError(self.severity)
+        if self.code not in DIAGNOSTIC_CODES:
+            raise ValueError(self.code)
+
+    def __str__(self):
+        return (
+            f"{self.span}: {self.severity}[{self.code}]: {self.message}"
+        )
+
+
+@dataclass(frozen=True, slots=True)
+class Token:
+    kind: str  # name | int | punct | eof
+    text: str
+    line: int
+    col: int
+
+    @property
+    def span(self) -> Span:
+        return Span(self.line, self.col, self.line,
+                    self.col + max(1, len(self.text)))
+
+
+@dataclass(frozen=True, slots=True)
+class Scalar:
+    """Exact literal:
+    sign * (numerator/denominator) * zeta(zeta_order)^zeta_power."""
+    negative: bool = False
+    numerator: int = 1
+    denominator: int = 1
+    zeta_order: int | None = None
+    zeta_power: int = 1
+
+
+
+@dataclass(frozen=True, slots=True)
+class FieldDecl:
+    order: int
+    span: Span = dc_field(compare=False, default=None)
+
+
+@dataclass(frozen=True, slots=True)
+class AlgebraDecl:
+    name: str
+    kind: str  # mat | sl | unit | quaternion
+    size: int | None
+    span: Span = dc_field(compare=False, default=None)
+
+    @property
+    def dim(self) -> int:
+        if self.kind == "mat":
+            return self.size * self.size
+        if self.kind == "sl":
+            return self.size * self.size - 1
+        if self.kind == "unit":
+            return 1
+        return 4  # quaternion
+
+    @property
+    def matrix_size(self) -> int | None:
+        """Defining matrix size, for the algebras that have one."""
+        if self.kind in ("mat", "sl"):
+            return self.size
+        return None
+
+
+@dataclass(frozen=True, slots=True)
+class AutoDecl:
+    name: str
+    kind: str  # conj | matrix | identity
+    target: str
+    entries: tuple  # tuple of row tuples of Scalar; () for identity
+    span: Span = dc_field(compare=False, default=None)
+
+
+@dataclass(frozen=True, slots=True)
+class GradingDecl:
+    name: str
+    auto: str
+    modulus: int | None
+    span: Span = dc_field(compare=False, default=None)
+
+
+@dataclass(frozen=True, slots=True)
+class StageExpr:
+    auto: str
+    modulus: int
+    m_matrix: tuple | None  # integer rows; None means identity action
+    c_vector: tuple | None  # integers; None means zero character
+    char_order: int | None  # zeta(r) for the character; None means trivial
+    span: Span = dc_field(compare=False, default=None)
+
+
+@dataclass(frozen=True, slots=True)
+class TowerDecl:
+    name: str
+    kind: str  # multiloop | loop
+    base: str
+    autos: tuple  # names, multiloop only
+    stages: tuple  # StageExpr, loop only
+    span: Span = dc_field(compare=False, default=None)
+
+    @property
+    def arity(self) -> int:
+        return len(self.autos) if self.kind == "multiloop" else len(
+            self.stages
+        )
+
+
+@dataclass(frozen=True, slots=True)
+class ReportOpt:
+    key: str  # box | seed
+    values: tuple
+    span: Span = dc_field(compare=False, default=None)
+
+
+@dataclass(frozen=True, slots=True)
+class ElementTerm:
+    sign: int  # +1 or -1, the joiner sign
+    coeff: Scalar | None  # None means coefficient 1 written implicitly
+    label: str
+    degree: tuple
+    span: Span = dc_field(compare=False, default=None)
+
+
+@dataclass(frozen=True, slots=True)
+class Command:
+    op: str  # check-grading | build-tower | centroid | kind | type
+             # | untwist | canonical-form
+    target: str
+    second: str | None = None
+    box: tuple | None = None
+    element: tuple | None = None
+    span: Span = dc_field(compare=False, default=None)
+
+
+REFERENCE_RECORDS = (
+    Span, Diagnostic, Token, Scalar, FieldDecl, AlgebraDecl, AutoDecl,
+    GradingDecl, StageExpr, TowerDecl, ReportOpt, ElementTerm, Command,
+)

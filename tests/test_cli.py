@@ -84,6 +84,44 @@ def test_run_box_and_seed_flags(small_file):
     assert centroid["box"] == [2, 2]
 
 
+ONE_STAGE_REPORT_BOX_DOC = (
+    "field zeta 2;\n"
+    "algebra A = mat(1);\n"
+    "auto i = identity(A);\n"
+    "tower T = multiloop(A, [i]);\n"
+    "report box 1, 1;\n"
+    "centroid T;\n"
+)
+
+
+def _windowed_error_codes(report):
+    return {c["command"]: c["error"]["code"] for c in report["commands"]
+            if c["command"] in ("centroid", "untwist")}
+
+
+def test_box_override_of_the_wrong_arity_is_a_dimension_mismatch():
+    # the override reaches the runner unchecked; only the windowed
+    # commands fail, the rest of the fixture still runs
+    proc = loomalg("run", str(FIXTURES / "quantum_torus_2.loom"),
+                   "--box", "2", "--json", "-")
+    assert proc.returncode == 1, proc.stderr
+    report = json.loads(proc.stdout)
+    assert _windowed_error_codes(report) == {
+        "centroid": "dimension-mismatch", "untwist": "dimension-mismatch",
+    }
+    assert all(c["ok"] for c in report["commands"]
+               if c["command"] not in ("centroid", "untwist"))
+
+
+def test_report_box_of_the_wrong_arity_is_a_dimension_mismatch(tmp_path):
+    path = tmp_path / "report_box.loom"
+    path.write_text(ONE_STAGE_REPORT_BOX_DOC, encoding="utf-8")
+    proc = loomalg("run", str(path), "--json", "-")
+    assert proc.returncode == 1, proc.stderr
+    report = json.loads(proc.stdout)
+    assert _windowed_error_codes(report) == {"centroid": "dimension-mismatch"}
+
+
 def test_run_command_failure_exit_one(tmp_path):
     path = tmp_path / "failing.loom"
     path.write_text(FAILING_DOC, encoding="utf-8")

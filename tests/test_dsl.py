@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import inspect
 import pathlib
+import pickle
 
+import helpers
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loomalg import dsl
 from loomalg.dsl import DIAGNOSTIC_CODES, Diagnostic, Span, format_document, parse
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -498,3 +504,176 @@ def test_damaged_documents_get_coded_diagnostics(source, data):
     at = data.draw(st.integers(0, len(source) - (stop - start)))
     damaged = source[:start] + source[stop:]
     _check_parse(damaged[:at] + stray + damaged[at:])
+
+
+# -- records against the dataclass reference ---------------------------------
+
+RECORD_NAMES = [cls.__name__ for cls in helpers.REFERENCE_RECORDS]
+
+
+def _record_args(ns):
+    """Positional arguments for a few instances of each record class, with
+    nested records taken from ns (loomalg.dsl or the helpers reference).
+    Instances differ in the span alone, or in a compared field."""
+    a, b = ns.Span(1, 1, 1, 4), ns.Span(3, 7, 3, 9)
+    one, half = ns.Scalar(), ns.Scalar(True, 1, 2, 8, 3)
+    stage = ns.StageExpr("s", 4, ((-1,),), (1,), 3, b)
+    term = ns.ElementTerm(-1, half, "e0", (1, 1), a)
+    return {
+        "Span": [(1, 1, 1, 4), (1, 2, 1, 4)],
+        "Diagnostic": [("error", a, "m", "syntax-error"),
+                       ("error", b, "m", "syntax-error"),
+                       ("warning", a, "m", "no-commands")],
+        "Token": [("name", "A", 1, 1), ("int", "12", 2, 3)],
+        "Scalar": [(False, 1, 1, None, 1), (True, 1, 2, 8, 3),
+                   (False, 0, 1, None, 1)],
+        "FieldDecl": [(4, a), (4, b), (6, None)],
+        "AlgebraDecl": [("A", "mat", 2, a), ("A", "mat", 2, b),
+                        ("A", "sl", 3, a), ("k", "unit", None, a)],
+        "AutoDecl": [("s", "conj", "A", ((one, half), (half, one)), a),
+                     ("s", "conj", "A", ((one, half), (half, one)), b),
+                     ("i", "identity", "A", (), a)],
+        "GradingDecl": [("G", "s", 4, a), ("G", "s", 4, b),
+                        ("G", "s", None, a)],
+        "StageExpr": [("s", 2, None, None, None, a),
+                      ("s", 2, None, None, None, b),
+                      ("s", 4, ((-1,),), (1,), 3, a)],
+        "TowerDecl": [("T", "multiloop", "A", ("s", "t"), (), a),
+                      ("T", "multiloop", "A", ("s", "t"), (), b),
+                      ("T", "loop", "A", (), (stage,), a)],
+        "ReportOpt": [("box", (1, 1), a), ("box", (1, 1), b),
+                      ("seed", (5,), a)],
+        "ElementTerm": [(1, None, "E11", (2, 0), a),
+                        (1, None, "E11", (2, 0), b),
+                        (-1, half, "e0", (1, 1), a)],
+        "Command": [("centroid", "T", None, (4, 4), None, a),
+                    ("centroid", "T", None, (4, 4), None, b),
+                    ("canonical-form", "T", None, None, (term,), a)],
+    }
+
+
+def _records(name):
+    """(hand-written records, reference records) built from one list of
+    arguments."""
+    new = [getattr(dsl, name)(*args) for args in _record_args(dsl)[name]]
+    ref = [getattr(helpers, name)(*args)
+           for args in _record_args(helpers)[name]]
+    return new, ref
+
+
+def _signature(cls):
+    return [(p.name, p.kind, p.default)
+            for p in inspect.signature(cls).parameters.values()]
+
+
+def test_every_record_has_samples():
+    assert sorted(_record_args(dsl)) == sorted(RECORD_NAMES)
+
+
+@pytest.mark.parametrize("name", RECORD_NAMES)
+def test_record_fields_and_defaults_match_the_reference(name):
+    cls, ref = getattr(dsl, name), getattr(helpers, name)
+    assert cls.__slots__ == tuple(f.name for f in dataclasses.fields(ref))
+    assert cls.__match_args__ == ref.__match_args__
+    assert _signature(cls) == _signature(ref)
+    # only the required fields given: the defaults fill in the rest
+    required = sum(p.default is inspect.Parameter.empty
+                   for p in inspect.signature(ref).parameters.values())
+    args = _record_args(dsl)[name][0][:required]
+    ref_args = _record_args(helpers)[name][0][:required]
+    assert repr(cls(*args)) == repr(ref(*ref_args))
+
+
+@pytest.mark.parametrize("name", RECORD_NAMES)
+def test_record_equality_hash_and_repr_match_the_reference(name):
+    new, ref = _records(name)
+    assert [repr(r) for r in new] == [repr(r) for r in ref]
+    assert [[x == y for y in new] for x in new] == [
+        [x == y for y in ref] for x in ref
+    ]
+    assert [[x != y for y in new] for x in new] == [
+        [x != y for y in ref] for x in ref
+    ]
+    assert [hash(r) for r in new] == [hash(r) for r in ref]
+    for record, args in zip(new, _record_args(dsl)[name]):
+        by_keyword = type(record)(**dict(zip(record.__slots__, args)))
+        assert repr(by_keyword) == repr(record)
+        assert record.__eq__(object()) is NotImplemented
+        for again in (copy.copy(record), copy.deepcopy(record),
+                      pickle.loads(pickle.dumps(record))):
+            assert repr(again) == repr(record)
+            assert again == record
+
+
+@pytest.mark.parametrize("name", [
+    cls.__name__ for cls in helpers.REFERENCE_RECORDS
+    if any(f.name == "span" and not f.compare
+           for f in dataclasses.fields(cls))
+])
+def test_records_compare_and_hash_without_their_span(name):
+    for ns in (dsl, helpers):
+        args = _record_args(ns)[name][0]
+        cls = getattr(ns, name)
+        fields = dict(zip(cls.__slots__, args))
+        moved = cls(**{**fields, "span": ns.Span(9, 9, 9, 9)})
+        record = cls(*args)
+        assert moved == record and hash(moved) == hash(record)
+        assert repr(moved) != repr(record)
+
+
+def _raised(action):
+    with pytest.raises(Exception) as info:
+        action()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("name", RECORD_NAMES)
+def test_records_refuse_assignment_like_the_reference(name):
+    new, ref = _records(name)
+    for x, y in zip(new, ref):
+        for attr in x.__slots__:
+            for action in (lambda r: setattr(r, attr, 0),
+                           lambda r: delattr(r, attr)):
+                got, want = _raised(lambda: action(x)), _raised(
+                    lambda: action(y))
+                assert issubclass(got[0], AttributeError)
+                assert issubclass(want[0], AttributeError)
+                assert got[1] == want[1]
+        # a name that is no field is refused too (a slotted dataclass
+        # raises TypeError here, from its frozen __setattr__'s super call)
+        assert issubclass(_raised(lambda: setattr(x, "extra", 0))[0],
+                          AttributeError)
+
+
+@pytest.mark.parametrize("severity, code", [
+    ("fatal", "syntax-error"), ("error", "no-such-code"),
+])
+def test_diagnostic_checks_match_the_reference(severity, code):
+    for cls, span_cls in ((dsl.Diagnostic, dsl.Span),
+                          (helpers.Diagnostic, helpers.Span)):
+        with pytest.raises(ValueError) as info:
+            cls(severity, span_cls(1, 1, 1, 2), "m", code)
+        assert info.value.args == (
+            (severity,) if severity == "fatal" else (code,)
+        )
+
+
+@pytest.mark.parametrize("path", [*MAIN_DOCS, *DIAG_DOCS],
+                         ids=lambda p: p.stem)
+def test_fixtures_parse_to_the_reference_records(path, monkeypatch):
+    # the parser looks its record classes up at call time, so swapping the
+    # module names makes it build the reference records instead
+    text = path.read_text(encoding="utf-8")
+    new = parse(text)
+    printed = format_document(new.document) if new.ok else None
+    for name in RECORD_NAMES:
+        monkeypatch.setattr(dsl, name, getattr(helpers, name))
+    ref = parse(text)
+    assert type(ref.diagnostics[0] if ref.diagnostics else
+                ref.document.statements[0]).__module__ == "helpers"
+    assert repr(new.diagnostics) == repr(ref.diagnostics)
+    assert new.ok == ref.ok
+    if new.ok:
+        # repr shows every field, spans included
+        assert repr(new.document.statements) == repr(ref.document.statements)
+        assert format_document(ref.document) == printed

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import time
 from collections import Counter
 
 import pytest
@@ -13,6 +14,7 @@ from loomalg.dsl import parse
 from loomalg.runner import (
     DEFAULT_SEED,
     SCHEMA_VERSION,
+    WINDOW_LIMIT,
     execute,
     render_text,
     report_json,
@@ -431,3 +433,33 @@ def test_untwist_reuses_the_box_its_centroid_solved(monkeypatch):
     assert report["ok"] is True
     assert entry(report, "untwist")["ok"] is True
     assert actions["calls"] == one_solve
+
+
+def test_oversized_window_fails_fast():
+    # volume 200001 over a one-dimensional base: the solve ran past 20 s
+    # before the runner refused windows above WINDOW_LIMIT
+    started = time.perf_counter()
+    report = run_source(
+        "algebra k = unit();\n"
+        "auto id = identity(k);\n"
+        "tower T = loop(k, stage(id, 1));\n"
+        "centroid T box 100000;\n"
+        "untwist T;\n"
+    )
+    assert time.perf_counter() - started < 1.0
+    centroid, untwist = report["commands"]
+    assert centroid["error"]["code"] == "window-too-large"
+    assert str(WINDOW_LIMIT) in centroid["error"]["message"]
+    # the default window of the same tower is far below the limit
+    assert untwist["ok"] is True
+
+
+def test_window_limit_is_far_above_every_fixture_window():
+    for path in sorted(FIXTURES.glob("*.loom")):
+        result = parse(path.read_text(encoding="utf-8"))
+        ctx = runner._RunContext(result.document, None, None)
+        for cmd in result.document.commands:
+            if cmd.op in ("centroid", "untwist"):
+                tower = ctx.obj(cmd.target)
+                box = ctx.window(cmd, tower)
+                assert 10 * box.volume() * tower.base.dim <= WINDOW_LIMIT

@@ -83,6 +83,26 @@ def test_product_table_stays_in_findim():
     assert found == []
 
 
+_STARTUP_MODULES = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import loomalg.cli
+heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+print(" ".join(m for m in heavy if m in sys.modules))
+"""
+
+
+def test_cli_start_up_loads_no_code_generation_modules():
+    # every `loomalg run` pays its imports; dataclasses alone loads inspect,
+    # ast, dis and tokenize and runs generated code through exec
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_MODULES, str(SRC.parent)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 def _identifiers(source: str) -> set:
     """Names a module reads, imports or looks up as attributes; the name a
     def or class statement binds is not among them."""
