@@ -566,10 +566,6 @@ def _signature(cls):
             for p in inspect.signature(cls).parameters.values()]
 
 
-def test_every_record_has_samples():
-    assert sorted(_record_args(dsl)) == sorted(RECORD_NAMES)
-
-
 @pytest.mark.parametrize("name", RECORD_NAMES)
 def test_record_fields_and_defaults_match_the_reference(name):
     cls, ref = getattr(dsl, name), getattr(helpers, name)
@@ -621,10 +617,10 @@ def test_records_compare_and_hash_without_their_span(name):
         assert repr(moved) != repr(record)
 
 
-def _raised(action):
-    with pytest.raises(Exception) as info:
-        action()
-    return type(info.value), str(info.value)
+def _refusal(action, record, *args) -> str:
+    with pytest.raises(AttributeError) as info:
+        action(record, *args)
+    return str(info.value)
 
 
 @pytest.mark.parametrize("name", RECORD_NAMES)
@@ -632,17 +628,12 @@ def test_records_refuse_assignment_like_the_reference(name):
     new, ref = _records(name)
     for x, y in zip(new, ref):
         for attr in x.__slots__:
-            for action in (lambda r: setattr(r, attr, 0),
-                           lambda r: delattr(r, attr)):
-                got, want = _raised(lambda: action(x)), _raised(
-                    lambda: action(y))
-                assert issubclass(got[0], AttributeError)
-                assert issubclass(want[0], AttributeError)
-                assert got[1] == want[1]
+            assert _refusal(setattr, x, attr, 0) == _refusal(
+                setattr, y, attr, 0)
+            assert _refusal(delattr, x, attr) == _refusal(delattr, y, attr)
         # a name that is no field is refused too (a slotted dataclass
         # raises TypeError here, from its frozen __setattr__'s super call)
-        assert issubclass(_raised(lambda: setattr(x, "extra", 0))[0],
-                          AttributeError)
+        _refusal(setattr, x, "extra", 0)
 
 
 @pytest.mark.parametrize("severity, code", [
