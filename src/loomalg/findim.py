@@ -76,6 +76,11 @@ class LinearMap:
         return f"<LinearMap dim {self.dim}>"
 
 
+def nonzero_terms(vec) -> list:
+    """The (index, scalar) pairs of vec's nonzero coordinates, in order."""
+    return [(i, c) for i, c in enumerate(vec) if c]
+
+
 class StructureAlgebra:
     """dim, structure constants, optional unit and basis labels."""
 
@@ -125,19 +130,34 @@ class StructureAlgebra:
         return self.labels[i] if self.labels else f"e{i}"
 
     def multiply(self, x, y):
-        acc = list(self.zero())
-        y_nonzero = [(j, yj) for j, yj in enumerate(y) if yj]
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self._products[i]
-            for j, yj in y_nonzero:
+        """x . y as a dense tuple, summed by `add_product` from the nonzero
+        coordinates of x and y."""
+        acc = {}
+        coords = range(self.dim)
+        self.add_product(acc, coords, nonzero_terms(x), nonzero_terms(y))
+        zero = self.field.zero
+        return tuple(acc.get(k, zero) for k in coords)
+
+    def add_product(self, acc: dict, keys, x_terms, y_terms):
+        """Add x . y into acc, coordinate k under the key keys[k].
+
+        x_terms and y_terms are the nonzero (index, scalar) pairs of x and
+        y (`nonzero_terms`); only the products e_i e_j that the table holds
+        nonzero are formed, and an entry of acc may cancel to zero.  Every
+        product of two elements is summed here: `multiply`, the Laurent
+        coefficients of `loops.laurent_multiply` and the rows of the
+        perfectness certificate in `loops.inherited_flags`."""
+        prods = self._products
+        for i, xi in x_terms:
+            row = prods[i]
+            for j, yj in y_terms:
                 prod = row[j]
                 if prod:
                     c = xi * yj
                     for k, pk in prod:
-                        acc[k] = acc[k] + c * pk
-        return tuple(acc)
+                        key = keys[k]
+                        cur = acc.get(key)
+                        acc[key] = c * pk if cur is None else cur + c * pk
 
     def left_mult(self, x):
         """x_0 L_0 + ... + x_(n-1) L_(n-1), summed from their columns."""

@@ -21,7 +21,12 @@ from .errors import (
     NotAnAutomorphism,
 )
 from .exactnum import CycloNumber, root_of_unity_order
-from .findim import StructureAlgebra, is_associative, property_report
+from .findim import (
+    StructureAlgebra,
+    is_associative,
+    nonzero_terms,
+    property_report,
+)
 from .grading import FiniteOrderAuto
 from .linalg import (
     SparseEchelon,
@@ -238,19 +243,30 @@ def laurent_str(algebra: StructureAlgebra, x: LaurentElement) -> str:
 def laurent_multiply(
     algebra: StructureAlgebra, x: LaurentElement, y: LaurentElement
 ) -> LaurentElement:
-    """Convolution product: degrees add, coefficients multiply in the base."""
+    """Convolution product: degrees add, coefficients multiply in the base.
+
+    The nonzero terms of each coefficient are listed once, and for each
+    pair of degrees `StructureAlgebra.add_product` adds the product of the
+    two coefficients into the coefficient at their sum."""
     x._check_compatible(y)
     if algebra.dim != x.base_dim:
         raise DimensionMismatch("algebra dimension does not match coefficients")
-    support = {}
+    coords = range(algebra.dim)
+    y_terms = [(d2, nonzero_terms(v2)) for d2, v2 in y.support.items()]
+    acc = {}
     for d1, v1 in x.support.items():
-        for d2, v2 in y.support.items():
-            prod = algebra.multiply(v1, v2)
-            if vec_is_zero(prod):
-                continue
+        x_terms = nonzero_terms(v1)
+        for d2, terms in y_terms:
             deg = tuple(a + b for a, b in zip(d1, d2))
-            cur = support.get(deg)
-            support[deg] = prod if cur is None else vec_add(cur, prod)
+            row = acc.get(deg)
+            if row is None:
+                row = acc[deg] = {}
+            algebra.add_product(row, coords, x_terms, terms)
+    zero = x.field.zero
+    support = {
+        deg: tuple(row.get(k, zero) for k in coords)
+        for deg, row in acc.items() if row
+    }
     return LaurentElement(x.field, x.arity, x.base_dim, support)
 
 
@@ -805,7 +821,13 @@ def inherited_flags(tower: LoopTower):
     a_d . b_e at degree d + e, so over such a base b . a = +-a . b, and
     over a Lie base a . a = 0 (each a_d . a_d vanishes and the terms
     a_d . a_e, a_e . a_d cancel).  The row space, and so the verdict, is
-    that of all ordered pairs; any other base takes every ordered pair."""
+    that of all ordered pairs; any other base takes every ordered pair.
+
+    The nonzero terms of each member are listed once.  The row of a pair
+    is summed by `StructureAlgebra.add_product` straight under its
+    (degree, coordinate) keys and goes to the echelon as it is, even when
+    the product vanishes, so no product is built as a Laurent element or
+    a dense vector."""
     base_report = property_report(tower.base)
     base = tower.base
 
@@ -832,13 +854,25 @@ def inherited_flags(tower: LoopTower):
         # of everything the inner window sees
         lie = base_report["lie"]["value"]
         unordered = lie or base_report["commutative"]["value"]
+        members = [
+            [(deg, nonzero_terms(vec)) for deg, vec in a.support.items()]
+            for a in window
+        ]
+        keys = {}  # degree -> the row keys (degree, k) of its coordinates
         ech = SparseEchelon()
-        for i, a in enumerate(window):
+        for i, a_terms in enumerate(members):
             start = (i + 1 if lie else i) if unordered else 0
-            for b in window[start:]:
-                prod = laurent_multiply(base, a, b)
-                if not prod.is_zero():
-                    ech.add_row(prod.sparse_items())
+            for b_terms in members[start:]:
+                row = {}
+                for d1, x_terms in a_terms:
+                    for d2, y_terms in b_terms:
+                        deg = tuple(p + q for p, q in zip(d1, d2))
+                        deg_keys = keys.get(deg)
+                        if deg_keys is None:
+                            deg_keys = keys[deg] = tuple(
+                                (deg, k) for k in range(base.dim))
+                        base.add_product(row, deg_keys, x_terms, y_terms)
+                ech.add_row(row)
         ok = all(
             not ech.reduce_vector(y.sparse_items())
             for y in tower.basis_in_box(box.halved())

@@ -38,7 +38,6 @@ from loomalg.loops import (
     DegreeBox,
     LaurentElement,
     box_coordinates,
-    laurent_multiply,
     member_projection,
 )
 
@@ -167,16 +166,38 @@ def column_ideal_algebra(field):
     ])
 
 
+def dense_laurent_multiply(algebra: StructureAlgebra, x: LaurentElement,
+                           y: LaurentElement) -> LaurentElement:
+    """Oracle for loops.laurent_multiply: one dense base product per pair
+    of degrees, through `naive_multiply`, so it shares no code with the
+    sparse product routine of findim."""
+    x._check_compatible(y)
+    if algebra.dim != x.base_dim:
+        raise DimensionMismatch("algebra dimension does not match coefficients")
+    support = {}
+    for d1, v1 in x.support.items():
+        for d2, v2 in y.support.items():
+            prod = naive_multiply(algebra, v1, v2)
+            if vec_is_zero(prod):
+                continue
+            deg = tuple(a + b for a, b in zip(d1, d2))
+            cur = support.get(deg)
+            support[deg] = prod if cur is None else vec_add(cur, prod)
+    return LaurentElement(x.field, x.arity, x.base_dim, support)
+
+
 def ordered_pair_products(tower):
     """The nonzero a . b, as sparse rows, over every ordered pair of members
     of the window whose radii are the stage moduli: the rows the perfectness
-    certificate of `loops.inherited_flags` spans on any base."""
+    certificate of `loops.inherited_flags` spans on any base.  The products
+    are dense (`dense_laurent_multiply`), so the rows do not depend on the
+    product routine the certificate uses."""
     box = DegreeBox(tuple(s.modulus for s in tower.stages))
     window = tower.basis_in_box(box)
     rows = []
     for a in window:
         for b in window:
-            prod = laurent_multiply(tower.base, a, b)
+            prod = dense_laurent_multiply(tower.base, a, b)
             if not prod.is_zero():
                 rows.append(prod.sparse_items())
     return rows
@@ -683,14 +704,15 @@ def dense_satisfies_jacobi(a: StructureAlgebra) -> bool:
 
 
 def naive_multiply(a: StructureAlgebra, x, y):
-    """Oracle for StructureAlgebra.multiply: the dense triple loop over the
-    structure-constant table, every product formed."""
-    zero = a.field.zero
-    return tuple(
-        sum((x[i] * y[j] * a.table[i][j][k]
-             for i in range(a.dim) for j in range(a.dim)), start=zero)
-        for k in range(a.dim)
-    )
+    """Oracle for StructureAlgebra.multiply: x_i y_j times the dense table
+    vector e_i e_j, summed over every pair of nonzero coordinates."""
+    acc = zero_vector(a.field, a.dim)
+    for i, xi in enumerate(x):
+        if xi:
+            for j, yj in enumerate(y):
+                if yj:
+                    acc = vec_add(acc, vec_scale(xi * yj, a.table[i][j]))
+    return acc
 
 
 def dense_left_mult(a: StructureAlgebra, i: int):

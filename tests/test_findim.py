@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
+    column_ideal_algebra,
     cross_product_algebra,
     dense_centre,
     dense_centroid,
@@ -45,6 +46,7 @@ from loomalg.findim import (
     is_simple,
     matrix_algebra,
     mult_algebra_basis,
+    nonzero_terms,
     property_report,
     satisfies_jacobi,
     sl_algebra,
@@ -179,8 +181,12 @@ def test_quaternions_are_central_simple():
 F4 = CycloField(4)
 _PRODUCT_ALGEBRAS = {
     "mat(2)": matrix_algebra(2, F4),
+    "mat(3)": matrix_algebra(3, F4),
+    "sl(2)": sl_algebra(2, F4),
     "sl(3)": sl_algebra(3, F4),
     "quaternions": quaternion_algebra(F4),
+    "cross-product": cross_product_algebra(F4),
+    "column-ideal": column_ideal_algebra(F4),
     "sl(2)+mat(1)": direct_sum(sl_algebra(2, F4), matrix_algebra(1, F4)),
 }
 
@@ -214,6 +220,20 @@ def test_multiply_matches_the_dense_table(factors):
         e = a.basis_vector(i)
         assert a.left_mult(e).matrix == dense_left_mult(a, i)
         assert a.right_mult(e).matrix == dense_right_mult(a, i)
+
+
+@given(algebra_and_factors(), st.integers(min_value=0, max_value=2))
+def test_add_product_adds_under_the_callers_keys(factors, shift):
+    # the one product routine adds x . y into a dict that already holds
+    # y . x, under keys the caller chose
+    a, x, y = factors
+    keys = [("coordinate", (k + shift) % a.dim) for k in range(a.dim)]
+    acc = {}
+    a.add_product(acc, keys, nonzero_terms(y), nonzero_terms(x))
+    a.add_product(acc, keys, nonzero_terms(x), nonzero_terms(y))
+    want = vec_add(naive_multiply(a, y, x), naive_multiply(a, x, y))
+    assert set(acc) <= set(keys)
+    assert tuple(acc.get(key, F4.zero) for key in keys) == want
 
 
 # -- centroid invariants ----------------------------------------------------

@@ -6,10 +6,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import (
     column_ideal_algebra,
     cross_product_algebra,
+    dense_laurent_multiply,
     element_from_box_coordinates,
     intersect,
     ordered_pair_products,
@@ -22,7 +25,7 @@ from loomalg import loops
 from loomalg.centroid_loop import centroid_tower
 from loomalg.errors import DimensionMismatch, InvalidGrading, InvariantViolated
 from loomalg.exactnum import CycloField, CycloNumber
-from loomalg.findim import matrix_algebra
+from loomalg.findim import matrix_algebra, sl_algebra
 from loomalg.fixtures import (
     conjugation_auto,
     fixture_registry,
@@ -134,6 +137,51 @@ def test_laurent_multiply_is_degreewise_convolution():
             deg = tuple(a + b for a, b in zip(d1, d2))
             assert prod.degrees() == [deg]
             assert prod.coefficient(deg) == want_vec
+
+
+F4 = CycloField(4)
+_LAURENT_BASES = {
+    "sl(2)": sl_algebra(2, F4),
+    "sl(3)": sl_algebra(3, F4),
+    "mat(2)": matrix_algebra(2, F4),
+    "cross-product": cross_product_algebra(F4),
+    "column-ideal": column_ideal_algebra(F4),
+}
+
+
+@st.composite
+def laurent_factors(draw):
+    """A base over Q(zeta_4) and two Laurent elements of arity 1 or 2 with
+    mostly zero coefficients; sometimes both factors are the same."""
+    base = _LAURENT_BASES[draw(st.sampled_from(sorted(_LAURENT_BASES)))]
+    arity = draw(st.integers(min_value=1, max_value=2))
+    entry = st.one_of(
+        st.just(0), st.just(0), st.integers(min_value=-2, max_value=2),
+        st.integers(min_value=0, max_value=3).map(lambda k: F4.zeta ** k),
+    )
+    degree = st.tuples(*[st.integers(min_value=-2, max_value=2)] * arity)
+
+    def element():
+        support = draw(st.dictionaries(
+            degree,
+            st.tuples(*[entry] * base.dim).map(
+                lambda v: tuple(F4.zero + c for c in v)),
+            max_size=4,
+        ))
+        return LaurentElement(F4, arity, base.dim, support)
+
+    x = element()
+    return base, x, x if draw(st.booleans()) else element()
+
+
+@given(laurent_factors())
+def test_laurent_multiply_matches_the_dense_oracle(factors):
+    # one call of the product routine per pair of degrees; over a Lie base
+    # x . x cancels across degrees, and a cancelled degree leaves no support
+    base, x, y = factors
+    prod = laurent_multiply(base, x, y)
+    assert prod == dense_laurent_multiply(base, x, y)
+    assert not any(vec_is_zero(v) for v in prod.support.values())
 
 
 def test_box_coordinate_round_trip():
@@ -787,17 +835,19 @@ def _certificate_tower(name):
 _CERTIFICATE_TOWERS = sorted(_REGISTRY) + ["column-ideal", "cross-product"]
 
 
-def _certificate_products(monkeypatch, tower):
-    """inherited_flags of the tower, and every product it formed."""
-    products = []
+def _certificate_rows(monkeypatch, tower):
+    """inherited_flags of the tower, and every row its perfectness
+    certificate sent to the echelon, one per pair of window members."""
+    rows = []
 
-    def recording(algebra, x, y):
-        prod = laurent_multiply(algebra, x, y)
-        products.append(prod)
-        return prod
+    class RecordingEchelon(SparseEchelon):
+        def add_row(self, row):
+            rows.append(dict(row))
+            return super().add_row(row)
 
-    monkeypatch.setattr(loops, "laurent_multiply", recording)
-    return inherited_flags(tower), products
+    # the certificate is the only echelon that loops builds
+    monkeypatch.setattr(loops, "SparseEchelon", RecordingEchelon)
+    return inherited_flags(tower), rows
 
 
 def _echelon(rows):
@@ -815,8 +865,7 @@ def test_perfectness_certificate_spans_the_ordered_pair_rows(
     # (quantum-torus) bases; the cross product is anticommutative, and the
     # column ideal is a base where the order of a pair matters
     tower = _certificate_tower(name)
-    flags, products = _certificate_products(monkeypatch, tower)
-    rows = [p.sparse_items() for p in products if not p.is_zero()]
+    flags, rows = _certificate_rows(monkeypatch, tower)
     oracle_rows = ordered_pair_products(tower)
     ech, oracle = _echelon(rows), _echelon(oracle_rows)
     assert ech.rank == oracle.rank
@@ -837,7 +886,22 @@ def test_perfectness_certificate_spans_the_ordered_pair_rows(
     ("column-ideal", 36),
 ])
 def test_perfectness_certificate_product_counts(monkeypatch, name, count):
-    # w window members give w(w-1)/2 products over a Lie base, w(w+1)/2
-    # over a commutative one and w^2 otherwise
-    _, products = _certificate_products(monkeypatch, _certificate_tower(name))
-    assert len(products) == count
+    # w window members give w(w-1)/2 rows over a Lie base, w(w+1)/2 over a
+    # commutative one and w^2 otherwise; a row whose product vanishes is
+    # sent too, and the echelon drops it
+    _, rows = _certificate_rows(monkeypatch, _certificate_tower(name))
+    assert len(rows) == count
+
+
+def test_ordered_pair_oracle_does_not_use_the_product_routine(monkeypatch):
+    # the certificate's rows are checked against ordered_pair_products, so
+    # the oracle forms its products without StructureAlgebra.add_product
+    tower = _certificate_tower("column-ideal")
+    tower.basis_in_box(DegreeBox(tuple(s.modulus for s in tower.stages)))
+    expected = ordered_pair_products(tower)
+
+    def refuse(*args):
+        raise AssertionError("the oracle reached the product routine")
+
+    monkeypatch.setattr(type(tower.base), "add_product", refuse)
+    assert ordered_pair_products(tower) == expected

@@ -8,6 +8,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "loomalg"
 
 
@@ -263,7 +265,7 @@ def test_bench_tracer_wraps_existing_names():
     assert proc.returncode == 0, proc.stderr
 
 
-_TRACED_BATCH_PASS = """
+_TRACED_PASS = """
 import sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 import layers
@@ -273,7 +275,7 @@ from loomalg import dsl, runner
 
 tracer = Tracer()
 layers.install(tracer)
-for i, doc in enumerate(workloads.generate("batch", 1)):
+for i, doc in enumerate(workloads.generate(sys.argv[3], 1)):
     tracer.doc = i
     # module attributes are read at call time, so the wrappers are seen
     parsed = dsl.parse(doc.text)
@@ -286,14 +288,15 @@ assert missing == [], f"traced boundaries recorded no span: {missing}"
 """
 
 
-def test_bench_traced_boundaries_are_reached_on_batch():
+@pytest.mark.parametrize("workload", ["lie", "window", "batch"])
+def test_bench_traced_boundaries_are_reached(workload):
     # a wrapped boundary that the library stops calling reads as
-    # `correct: false` in a traced benchmark run; one seed-1 batch pass
-    # shows it here
+    # `correct: false` in a traced benchmark run; one seed-1 pass of each
+    # workload shows it here
     repo = SRC.parent.parent
     proc = subprocess.run(
-        [sys.executable, "-c", _TRACED_BATCH_PASS,
-         str(repo / "bench"), str(SRC.parent)],
+        [sys.executable, "-c", _TRACED_PASS,
+         str(repo / "bench"), str(SRC.parent), workload],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
