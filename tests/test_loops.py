@@ -176,8 +176,8 @@ def laurent_factors(draw):
 
 @given(laurent_factors())
 def test_laurent_multiply_matches_the_dense_oracle(factors):
-    # one call of the product routine per pair of degrees; over a Lie base
-    # x . x cancels across degrees, and a cancelled degree leaves no support
+    # over a Lie base x . x cancels across degrees, and a cancelled degree
+    # must leave no zero vector in the support
     base, x, y = factors
     prod = laurent_multiply(base, x, y)
     assert prod == dense_laurent_multiply(base, x, y)
@@ -897,7 +897,6 @@ def test_ordered_pair_oracle_does_not_use_the_product_routine(monkeypatch):
     # the certificate's rows are checked against ordered_pair_products, so
     # the oracle forms its products without StructureAlgebra.add_product
     tower = _certificate_tower("column-ideal")
-    tower.basis_in_box(DegreeBox(tuple(s.modulus for s in tower.stages)))
     expected = ordered_pair_products(tower)
 
     def refuse(*args):
