@@ -21,15 +21,13 @@ from .findim import (
     is_pfgc_findim,
     is_simple,
     matrix_algebra,
+    nonzero_terms,
 )
 from .grading import ModGrading, auto_from_grading, centroid_twist
 from .linalg import (
     SparseEchelon,
     Subspace,
     column_kernel,
-    vec_add,
-    vec_is_zero,
-    vec_scale,
 )
 from .loops import (
     DegreeBox,
@@ -110,40 +108,47 @@ def centroid_action(maps, u: LaurentElement, x: LaurentElement) -> LaurentElemen
     (chi (x) z^d) . (a (x) z^e) = chi(a) (x) z^(d+e), extended bilinearly.
     Maps whose `scalar` is set (c times the identity, as `centroid_algebra`
     decides for a central base) act without a matrix: per degree of u their
-    coefficients fold into one scalar that scales x; only the other maps are
-    applied, through their column form."""
+    coefficients fold into one scalar that scales x's nonzero entries; only
+    the other maps are applied, by `LinearMap.apply`, which reads the
+    columns at x's nonzero coordinates."""
     if u.arity != x.arity:
         raise LoomError("action arity mismatch", code="arity-mismatch")
     one = x.field.one
-    support = {}
+    x_terms = {dx: nonzero_terms(vx) for dx, vx in x.support.items()}
+    rows = {}
     for du, cu in u.support.items():
-        scalar = x.field.zero
+        scalar = None
         matrices = []
-        for s, coeff in enumerate(cu):
-            if not coeff:
-                continue
+        for s, coeff in nonzero_terms(cu):
             c = maps[s].scalar
             if c is None:
                 matrices.append((coeff, maps[s]))
             else:
-                scalar = scalar + coeff * c
+                c = coeff * c
+                scalar = c if scalar is None else scalar + c
+        if scalar is not None and not scalar:
+            scalar = None
+        if scalar is None and not matrices:
+            continue
+        unit = scalar is not None and scalar == one
         for dx, vx in x.support.items():
-            if not scalar:
-                img = None
-            elif scalar == one:
-                img = vx
-            else:
-                img = vec_scale(scalar, vx)
-            for coeff, mp in matrices:
-                term = vec_scale(coeff, mp.apply(vx))
-                img = term if img is None else vec_add(img, term)
-            # a nonzero scalar alone keeps the nonzero vector vx nonzero
-            if img is None or (matrices and vec_is_zero(img)):
-                continue
             deg = tuple(a + b for a, b in zip(du, dx))
-            cur = support.get(deg)
-            support[deg] = img if cur is None else vec_add(cur, img)
-    return LaurentElement(x.field, x.arity, x.base_dim, support)
+            row = rows.get(deg)
+            if row is None:
+                row = rows[deg] = {}
+            if scalar is None:
+                terms = []
+            elif unit:
+                terms = x_terms[dx]
+            else:
+                terms = [(j, scalar * a) for j, a in x_terms[dx]]
+            for coeff, mp in matrices:
+                terms = terms + [(i, coeff * v)
+                                 for i, v in nonzero_terms(mp.apply(vx))]
+            for j, v in terms:
+                cur = row.get(j)
+                row[j] = v if cur is None else cur + v
+    return LaurentElement._from_rows(x.field, x.arity, x.base_dim, rows)
 
 
 def stabilizes(tower: LoopTower, maps, u: LaurentElement,
@@ -218,12 +223,19 @@ def stabilizer_in_box(tower: LoopTower, box: DegreeBox) -> StabilizerBasis:
             u = LaurentElement.monomial(
                 field, tower.n, r, d, calg.basis_vector(s)
             )
+            # the defect u . x - P(u . x) of each member, entered straight
+            # into the column; the echelon drops entries that cancel
             column = {}
             for t, x in enumerate(members):
                 ux = centroid_action(maps, u, x)
-                defect = ux.sub(member_projection(tower, ux))
-                for (deg, coord), val in defect.sparse_items().items():
-                    column[(t, deg, coord)] = val
+                for deg, vec in ux.support.items():
+                    for k, val in nonzero_terms(vec):
+                        column[(t, deg, k)] = val
+                for deg, vec in member_projection(tower, ux).support.items():
+                    for k, val in nonzero_terms(vec):
+                        key = (t, deg, k)
+                        cur = column.get(key)
+                        column[key] = -val if cur is None else cur - val
             columns.append(column)
         return column_kernel(keys, columns, field)
 
@@ -240,11 +252,11 @@ def stabilizer_in_box(tower: LoopTower, box: DegreeBox) -> StabilizerBasis:
             kernels[first] = block_kernel(blocks[first])
         dims_by_degree[key[-1]] += len(kernels[first])
         for sol in kernels[first]:
-            support = {}
+            rows = {}
             for (d, s), val in sol.items():
                 deg = tuple(a + o for a, o in zip(d, shift))
-                support.setdefault(deg, [field.zero] * r)[s] = val
-            elements.append(LaurentElement(field, tower.n, r, support))
+                rows.setdefault(deg, {})[s] = val
+            elements.append(LaurentElement._from_rows(field, tower.n, r, rows))
     stab = StabilizerBasis(box, elements, dims_by_degree, maps)
     tower._stabilizer_cache[box.radius] = stab
     return stab

@@ -214,7 +214,10 @@ class CycloNumber:
         return None
 
     def _sum(self, o, op):
-        # self op o for op in (add, sub), both with the same field
+        # self op o for op in (add, sub), both with the same field; a zero
+        # is always stored as (0, ..., 0)/1, so self is already the result
+        if not any(o.num):
+            return self
         a, b = self.den, o.den
         if a == b:
             num = tuple(map(op, self.num, o.num))
@@ -257,6 +260,8 @@ class CycloNumber:
                 return NotImplemented
         field = self.field
         a, b = self.num, other.num
+        if not any(a) or not any(b):
+            return field.zero
         fold = field._fold
         if not fold:
             num = (a[0] * b[0],)
@@ -337,6 +342,12 @@ class CycloNumber:
 
     def is_zero(self) -> bool:
         return not any(self.num)
+
+    def is_integral(self) -> bool:
+        """Is this an algebraic integer?  Z[zeta_N] is the ring of integers
+        of the field and the power basis is an integral basis of it, so
+        these are the elements with denominator 1."""
+        return self.den == 1
 
     def is_rational(self) -> bool:
         return not any(self.num[1:])

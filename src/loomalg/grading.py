@@ -14,6 +14,7 @@ from .findim import LinearMap, StructureAlgebra, centroid_algebra
 from .linalg import (
     SpanSolver,
     Subspace,
+    charpoly,
     column_apply,
     identity_matrix,
     kernel_basis,
@@ -56,6 +57,15 @@ class FiniteOrderAuto:
                     raise NotAnAutomorphism(
                         f"does not preserve the product on basis pair ({i}, {j})"
                     )
+        # the eigenvalues of a matrix of finite order are roots of unity,
+        # which are algebraic integers, so its characteristic polynomial
+        # has integral coefficients; one that is not means infinite order
+        if not all(c.is_integral()
+                   for c in charpoly(self.matrix, self.field)):
+            raise NotAnAutomorphism(
+                "characteristic polynomial is not integral, so the "
+                "automorphism has infinite order"
+            )
         ident = identity_matrix(self.field, n)
         inverse, power = ident, self.matrix
         for k in range(1, _ORDER_SEARCH_CAP + 1):

@@ -33,7 +33,6 @@ from .linalg import (
     column_kernel,
     vec_add,
     vec_is_zero,
-    vec_scale,
 )
 
 _MATRIX_ORDER_CAP = 4096
@@ -83,11 +82,36 @@ class DegreeBox:
         return f"DegreeBox{self.radius}"
 
 
+def _checked_degree(deg, arity):
+    deg = tuple(int(d) for d in deg)
+    if len(deg) != arity:
+        raise DimensionMismatch(
+            f"degree {deg} has arity {len(deg)}, expected {arity}"
+        )
+    return deg
+
+
+def _checked_vector(vec, base_dim):
+    vec = tuple(vec)
+    if len(vec) != base_dim:
+        raise DimensionMismatch(
+            f"coefficient length {len(vec)}, expected {base_dim}"
+        )
+    return vec
+
+
 class LaurentElement:
     """A base-algebra-valued Laurent polynomial in `arity` variables.
 
     support maps multidegree tuples to nonzero coefficient vectors; an
     arity-0 element is a plain vector wrapped with the empty degree ().
+
+    The constructor zero-tests every coordinate it is given.  The kernels
+    of this layer build their results through two internal constructors
+    that zero-test only what was computed: _from_rows takes sparse rows
+    {degree: {coordinate: scalar}}, and _from_nonzero takes vectors
+    already known to be nonzero, moved unchanged to other degrees.  Both
+    still convert and check every degree.
     """
 
     __slots__ = ("field", "arity", "base_dim", "support")
@@ -99,19 +123,47 @@ class LaurentElement:
         clean = {}
         if support:
             for deg, vec in support.items():
-                deg = tuple(int(d) for d in deg)
-                if len(deg) != arity:
-                    raise DimensionMismatch(
-                        f"degree {deg} has arity {len(deg)}, expected {arity}"
-                    )
-                vec = tuple(vec)
-                if len(vec) != base_dim:
-                    raise DimensionMismatch(
-                        f"coefficient length {len(vec)}, expected {base_dim}"
-                    )
+                deg = _checked_degree(deg, arity)
+                vec = _checked_vector(vec, base_dim)
                 if not vec_is_zero(vec):
                     clean[deg] = vec
         self.support = clean
+
+    @classmethod
+    def _with_support(cls, field, arity, base_dim, support):
+        x = cls.__new__(cls)
+        x.field = field
+        x.arity = arity
+        x.base_dim = base_dim
+        x.support = support
+        return x
+
+    @classmethod
+    def _from_rows(cls, field, arity, base_dim, rows):
+        """The element with rows {degree: {coordinate: scalar}}: a row's
+        scalars may be sums that cancelled, so each is zero-tested once,
+        and each nonzero row becomes its dense vector."""
+        zero = field.zero
+        support = {}
+        for deg, row in rows.items():
+            vec = None
+            for k, c in row.items():
+                if c:
+                    if vec is None:
+                        vec = [zero] * base_dim
+                    vec[k] = c
+            if vec is not None:
+                support[_checked_degree(deg, arity)] = tuple(vec)
+        return cls._with_support(field, arity, base_dim, support)
+
+    @classmethod
+    def _from_nonzero(cls, field, arity, base_dim, support):
+        """The element with these degrees and vectors, the vectors known
+        to be nonzero, so none is zero-tested again."""
+        return cls._with_support(field, arity, base_dim, {
+            _checked_degree(deg, arity): _checked_vector(vec, base_dim)
+            for deg, vec in support.items()
+        })
 
     @classmethod
     def zero(cls, field, arity, base_dim):
@@ -169,7 +221,11 @@ class LaurentElement:
             c = self.field.from_rational(Fraction(c))
         if c.is_zero():
             return LaurentElement.zero(self.field, self.arity, self.base_dim)
-        support = {deg: vec_scale(c, vec) for deg, vec in self.support.items()}
+        # only nonzero entries are multiplied
+        support = {
+            deg: tuple(c * a if a else a for a in vec)
+            for deg, vec in self.support.items()
+        }
         return LaurentElement(self.field, self.arity, self.base_dim, support)
 
     def shift(self, offset) -> "LaurentElement":
@@ -181,12 +237,14 @@ class LaurentElement:
             tuple(d + o for d, o in zip(deg, offset)): vec
             for deg, vec in self.support.items()
         }
-        return LaurentElement(self.field, self.arity, self.base_dim, support)
+        return LaurentElement._from_nonzero(
+            self.field, self.arity, self.base_dim, support)
 
     def tensor_last(self, j: int) -> "LaurentElement":
         """Append one variable, placing everything in exponent j."""
         support = {deg + (int(j),): vec for deg, vec in self.support.items()}
-        return LaurentElement(self.field, self.arity + 1, self.base_dim, support)
+        return LaurentElement._from_nonzero(
+            self.field, self.arity + 1, self.base_dim, support)
 
     def in_box(self, box: DegreeBox) -> bool:
         return all(box.contains(deg) for deg in self.support)
@@ -262,12 +320,7 @@ def laurent_multiply(
             if row is None:
                 row = acc[deg] = {}
             algebra.add_product(row, coords, x_terms, terms)
-    zero = x.field.zero
-    support = {
-        deg: tuple(row.get(k, zero) for k in coords)
-        for deg, row in acc.items() if row
-    }
-    return LaurentElement(x.field, x.arity, x.base_dim, support)
+    return LaurentElement._from_rows(x.field, x.arity, x.base_dim, acc)
 
 
 def box_coordinates(x: LaurentElement, box: DegreeBox):
@@ -380,26 +433,46 @@ class ToralMonomialAuto:
         """The twist on the coefficients and the first `arity` variables of
         x; any later variables ride along unchanged, so a stage twist acts
         on elements of every later stage of its tower."""
-        k = self.arity
-        if x.arity < k:
+        if x.arity < self.arity:
             raise DimensionMismatch(
-                f"twist expects arity at least {k}, element has {x.arity}"
+                f"twist expects arity at least {self.arity}, "
+                f"element has {x.arity}"
             )
-        support = {}
-        for deg, vec in x.support.items():
+        return LaurentElement._from_rows(
+            x.field, x.arity, x.base_dim, self._image_rows(_terms(x)))
+
+    def _image_rows(self, terms):
+        """The twist of the terms (degree, [(coordinate, scalar)]) as rows
+        {degree: {coordinate: scalar}}.  Only the columns of theta at the
+        given coordinates are read, each scalar first multiplied by the
+        character value of its degree; a row's scalars may cancel to zero."""
+        k = self.arity
+        columns = self.theta.columns
+        c_vector, powers, order = self.c_vector, self.powers, self.root_order
+        rows = {}
+        for deg, pairs in terms:
             head = deg[:k]
-            img = self.theta.apply(vec)
-            e = sum(c * d for c, d in zip(self.c_vector, head))
-            e %= self.root_order
-            if e:
-                img = vec_scale(self.powers[e], img)
+            e = sum(c * d for c, d in zip(c_vector, head)) % order
             ndeg = self.degree_image(head) + deg[k:]
-            cur = support.get(ndeg)
-            support[ndeg] = img if cur is None else vec_add(cur, img)
-        return LaurentElement(x.field, x.arity, x.base_dim, support)
+            row = rows.get(ndeg)
+            if row is None:
+                row = rows[ndeg] = {}
+            for j, a in pairs:
+                if e:
+                    a = powers[e] * a
+                for i, c in columns[j]:
+                    t = c * a
+                    cur = row.get(i)
+                    row[i] = t if cur is None else cur + t
+        return rows
 
     def __repr__(self):
         return f"<ToralMonomialAuto arity {self.arity}>"
+
+
+def _terms(x: LaurentElement):
+    """x as terms (degree, [(coordinate, scalar)]) of nonzero scalars."""
+    return [(deg, nonzero_terms(vec)) for deg, vec in x.support.items()]
 
 
 def _root_powers(zeta: CycloNumber):
@@ -629,21 +702,34 @@ def tower_membership(tower: LoopTower, x: LaurentElement) -> bool:
     """Stage-by-stage test; exact, no window involved.  x is a member
     exactly when, for every stage p, sigma_p (acting on the first p - 1
     variables) scales each monomial of x by zeta_p^(g_p), g_p its z_p
-    exponent; the first failing stage decides.  The routine that decides
-    membership of a given element (member_projection poses the linear
-    systems in unknown ones)."""
+    exponent; the first failing stage decides.  x's nonzero terms are
+    listed once: each stage's image is built from them, and only they are
+    scaled into the vector each image coefficient must equal.  The
+    routine that decides membership of a given element (member_projection
+    poses the linear systems in unknown ones)."""
     if x.arity != tower.n:
         raise DimensionMismatch(
             f"element arity {x.arity}, tower has {tower.n} stages"
         )
+    zero = x.field.zero
+    terms = _terms(x)
     for p, stage in enumerate(tower.stages):
         powers, m = stage.powers, stage.modulus
-        want = {
-            deg: vec_scale(powers[deg[p] % m], vec) if deg[p] % m else vec
-            for deg, vec in x.support.items()
-        }
-        if stage.twist.apply(x).support != want:
+        image = LaurentElement._from_rows(
+            x.field, x.arity, x.base_dim, stage.twist._image_rows(terms)
+        ).support
+        if len(image) != len(terms):
             return False
+        for deg, pairs in terms:
+            vec = image.get(deg)
+            if vec is None:
+                return False
+            e = deg[p] % m
+            want = [zero] * x.base_dim
+            for k, b in pairs:
+                want[k] = powers[e] * b if e else b
+            if vec != tuple(want):
+                return False
     return True
 
 
@@ -660,66 +746,75 @@ def member_projection(tower: LoopTower, y: LaurentElement) -> LaurentElement:
     the shifts by the degree periods, so single-monomial projections are
     memoized per tower by (class representative, coordinate), the
     representative being the first degree of the class at or above 0, and
-    each cached piece is shifted back onto the degree asked for."""
+    each cached piece, stored as its nonzero terms, is shifted back onto
+    the degree asked for."""
     if y.arity != tower.n:
         raise DimensionMismatch(
             f"element arity {y.arity}, tower has {tower.n} stages"
         )
-    field = tower.field
-    d = tower.base.dim
+    one = tower.field.one
     origin = (0,) * tower.n
-    support = {}
+    rows = {}
     memo = tower._proj_memo
-    for g, vec in y.support.items():
+    for g, pairs in _terms(y):
         shift = tower.class_shift(g, origin)
         moved = any(shift)
         rep = tuple(a - s for a, s in zip(g, shift)) if moved else g
-        for i, c in enumerate(vec):
-            if not c:
-                continue
+        for i, c in pairs:
             cached = memo.get((rep, i))
             if cached is None:
-                mono = LaurentElement.monomial(
-                    field, tower.n, d, rep, tower.base.basis_vector(i)
-                )
-                cached = _project_once(tower, mono)
-                memo[(rep, i)] = cached
-            for deg, v in cached.support.items():
+                cached = memo[(rep, i)] = _project_once(tower, rep, i)
+            unit = c == one
+            for deg, piece in cached:
                 if moved:
                     deg = tuple(a + s for a, s in zip(deg, shift))
-                if c != field.one:
-                    v = vec_scale(c, v)
-                cur = support.get(deg)
-                support[deg] = v if cur is None else vec_add(cur, v)
-    return LaurentElement(field, tower.n, d, support)
+                row = rows.get(deg)
+                if row is None:
+                    row = rows[deg] = {}
+                for k, v in piece:
+                    if not unit:
+                        v = c * v
+                    cur = row.get(k)
+                    row[k] = v if cur is None else cur + v
+    return LaurentElement._from_rows(tower.field, tower.n, tower.base.dim, rows)
 
 
-def _project_once(tower: LoopTower, y: LaurentElement) -> LaurentElement:
-    """E_n ... E_1 y, where E_p = (1/m_p) sum_t zeta_p^(-g_p t) sigma_p^t
-    on each monomial of z_p exponent g_p.  sigma_p keeps the exponents from
-    the p-th on, so applied innermost first this unrolls the recursion
+def _project_once(tower: LoopTower, degree, coordinate):
+    """E_n ... E_1 of the monomial e_coordinate (x) z^degree, as its
+    nonzero terms (degree, [(coordinate, scalar)]), where
+    E_p = (1/m_p) sum_t zeta_p^(-g_p t) sigma_p^t on each monomial of z_p
+    exponent g_p.  sigma_p keeps the exponents from the p-th on, so
+    applied innermost first this unrolls the recursion
     L_n = L(L_(n-1), sigma_n)."""
     field = tower.field
+    terms = [(degree, [(coordinate, field.one)])]
     for p, stage in enumerate(tower.stages):
         twist, m, powers = stage.twist, stage.modulus, stage.powers
         inv_m = field.from_rational(Fraction(1, m))
         acc = {}
-        cur = y
+        cur = terms
         for t in range(m):
             if t:
-                cur = twist.apply(cur)
-            for deg, vec in cur.support.items():
+                cur = [(deg, row.items())
+                       for deg, row in twist._image_rows(cur).items()]
+            for deg, pairs in cur:
                 e = -deg[p] * t % m
-                v = vec_scale(powers[e], vec) if e else vec
-                a = acc.get(deg)
-                acc[deg] = v if a is None else vec_add(a, v)
-        y = LaurentElement(
-            field, tower.n, tower.base.dim,
-            {deg: vec_scale(inv_m, v) for deg, v in acc.items()},
-        )
-        if y.is_zero():
+                row = acc.get(deg)
+                if row is None:
+                    row = acc[deg] = {}
+                for k, v in pairs:
+                    if e:
+                        v = powers[e] * v
+                    a = row.get(k)
+                    row[k] = v if a is None else a + v
+        terms = []
+        for deg, row in acc.items():
+            pairs = [(k, inv_m * v) for k, v in row.items() if v]
+            if pairs:
+                terms.append((deg, pairs))
+        if not terms:
             break
-    return y
+    return terms
 
 
 def canonical_form(tower: LoopTower, y: LaurentElement):

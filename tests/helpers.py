@@ -34,9 +34,13 @@ from loomalg.linalg import (
     vec_scale,
     zero_vector,
 )
+from loomalg.fixtures import swap_sum_fixture
 from loomalg.loops import (
     DegreeBox,
     LaurentElement,
+    LoopTower,
+    ToralMonomialAuto,
+    TowerStage,
     box_coordinates,
     member_projection,
 )
@@ -89,6 +93,143 @@ def scaled_apply(twist, x: LaurentElement) -> LaurentElement:
         cur = support.get(ndeg)
         support[ndeg] = img if cur is None else vec_add(cur, img)
     return LaurentElement(x.field, x.arity, x.base_dim, support)
+
+
+def dense_twist_apply(twist, x: LaurentElement) -> LaurentElement:
+    """Oracle for ToralMonomialAuto.apply: theta applied to each whole
+    coefficient vector, zero coordinates included, the image then scaled by
+    the character value; built through the validating constructor."""
+    k = twist.arity
+    support = {}
+    for deg, vec in x.support.items():
+        head = deg[:k]
+        img = twist.theta.apply(vec)
+        e = sum(c * d for c, d in zip(twist.c_vector, head))
+        e %= twist.root_order
+        if e:
+            img = vec_scale(twist.powers[e], img)
+        ndeg = twist.degree_image(head) + deg[k:]
+        cur = support.get(ndeg)
+        support[ndeg] = img if cur is None else vec_add(cur, img)
+    return LaurentElement(x.field, x.arity, x.base_dim, support)
+
+
+def dense_tower_membership(tower, x: LaurentElement) -> bool:
+    """Oracle for loops.tower_membership: at each stage p the dense image
+    must equal the dict of x's vectors, each scaled by zeta_p^(g_p)."""
+    for p, stage in enumerate(tower.stages):
+        powers, m = stage.powers, stage.modulus
+        want = {
+            deg: vec_scale(powers[deg[p] % m], vec) if deg[p] % m else vec
+            for deg, vec in x.support.items()
+        }
+        if dense_twist_apply(stage.twist, x).support != want:
+            return False
+    return True
+
+
+def _dense_project_once(tower, y: LaurentElement) -> LaurentElement:
+    field = tower.field
+    for p, stage in enumerate(tower.stages):
+        twist, m, powers = stage.twist, stage.modulus, stage.powers
+        inv_m = field.from_rational(Fraction(1, m))
+        acc = {}
+        cur = y
+        for t in range(m):
+            if t:
+                cur = dense_twist_apply(twist, cur)
+            for deg, vec in cur.support.items():
+                e = -deg[p] * t % m
+                v = vec_scale(powers[e], vec) if e else vec
+                a = acc.get(deg)
+                acc[deg] = v if a is None else vec_add(a, v)
+        y = LaurentElement(
+            field, tower.n, tower.base.dim,
+            {deg: vec_scale(inv_m, v) for deg, v in acc.items()},
+        )
+        if y.is_zero():
+            break
+    return y
+
+
+def dense_member_projection(tower, y: LaurentElement) -> LaurentElement:
+    """Oracle for loops.member_projection: E_n ... E_1 of each monomial of
+    y on dense vectors, each monomial projected afresh (no memo, no period
+    shifts) and scaled by its coefficient."""
+    field = tower.field
+    d = tower.base.dim
+    support = {}
+    for g, vec in y.support.items():
+        for i, c in enumerate(vec):
+            if not c:
+                continue
+            mono = LaurentElement.monomial(
+                field, tower.n, d, g, tower.base.basis_vector(i))
+            for deg, v in _dense_project_once(tower, mono).support.items():
+                v = vec_scale(c, v)
+                cur = support.get(deg)
+                support[deg] = v if cur is None else vec_add(cur, v)
+    return LaurentElement(field, tower.n, d, support)
+
+
+def dense_centroid_action(maps, u: LaurentElement, x: LaurentElement):
+    """Oracle for centroid_loop.centroid_action: per degree of u the scalar
+    maps fold into one scalar and the others are applied to each whole
+    vector of x, zero coordinates included, as dense vector sums."""
+    one = x.field.one
+    support = {}
+    for du, cu in u.support.items():
+        scalar = x.field.zero
+        matrices = []
+        for s, coeff in enumerate(cu):
+            if not coeff:
+                continue
+            c = maps[s].scalar
+            if c is None:
+                matrices.append((coeff, maps[s]))
+            else:
+                scalar = scalar + coeff * c
+        for dx, vx in x.support.items():
+            if not scalar:
+                img = None
+            elif scalar == one:
+                img = vx
+            else:
+                img = vec_scale(scalar, vx)
+            for coeff, mp in matrices:
+                term = vec_scale(coeff, mp.apply(vx))
+                img = term if img is None else vec_add(img, term)
+            if img is None or (matrices and vec_is_zero(img)):
+                continue
+            deg = tuple(a + b for a, b in zip(du, dx))
+            cur = support.get(deg)
+            support[deg] = img if cur is None else vec_add(cur, img)
+    return LaurentElement(x.field, x.arity, x.base_dim, support)
+
+
+def swap_sum_tower():
+    """A two-stage tower over sl(2) + sl(2), whose centroid is not the
+    scalars: both stages swap the summands, and the second also inverts z1
+    and twists by (-1)^(j1)."""
+    fix = swap_sum_fixture()
+    field, auto = fix["field"], fix["auto"]
+    return LoopTower(fix["algebra"], [
+        TowerStage(ToralMonomialAuto(auto, (), (), field.one), 2, field.zeta),
+        TowerStage(ToralMonomialAuto(auto, ((-1,),), (1,), field.zeta),
+                   2, field.zeta),
+    ])
+
+
+def assert_clean_support(x: LaurentElement, arity: int, base_dim: int):
+    """x has integer degrees of the given arity and nonzero coefficient
+    tuples of length base_dim, as the validating constructor leaves them."""
+    assert (x.arity, x.base_dim) == (arity, base_dim)
+    for deg, vec in x.support.items():
+        assert type(deg) is tuple and len(deg) == arity
+        assert all(type(g) is int for g in deg)
+        assert type(vec) is tuple and len(vec) == base_dim
+        assert not vec_is_zero(vec)
+    assert LaurentElement(x.field, arity, base_dim, x.support) == x
 
 
 def recursive_membership(tower, x: LaurentElement) -> bool:

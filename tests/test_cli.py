@@ -289,3 +289,26 @@ def test_reports_are_identical_under_python_O(source, tmp_path):
     assert optimized.stdout == plain.stdout
     assert optimized.stderr == plain.stderr
     assert optimized.returncode == plain.returncode
+
+
+@pytest.mark.parametrize("args", [("run", "{fixture}", "--json", "-"),
+                                  ("fmt", "{fixture}"),
+                                  ()])
+def test_package_runs_as_a_module_like_the_cli_module(args):
+    # `python -m loomalg` and `python -m loomalg.cli` are one entry point:
+    # same bytes on stdout and stderr, same exit code
+    fixture = str(FIXTURES / "hermitian_1.loom")
+    argv = [a.format(fixture=fixture) for a in args]
+    package = subprocess.run(
+        [sys.executable, "-m", "loomalg", *argv],
+        capture_output=True, timeout=560,
+    )
+    module = subprocess.run(
+        [sys.executable, "-m", "loomalg.cli", *argv],
+        capture_output=True, timeout=560,
+    )
+    assert package.returncode == module.returncode
+    assert package.stdout == module.stdout
+    assert package.stderr == module.stderr
+    if args:
+        assert package.returncode == 0 and package.stdout

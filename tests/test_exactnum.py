@@ -227,6 +227,36 @@ def test_arithmetic_matches_fraction_oracle(sample):
     assert_same_layout(field.from_rational(q), field.from_coeffs([q]))
 
 
+@given(small_field_pairs())
+def test_a_zero_operand_gives_the_layout_of_the_full_computation(sample):
+    # with a zero operand, * returns field.zero and + or - may return the
+    # other operand as it is; each result must still have the value, hash
+    # and den == 1 layout of the full computation, here the Fraction oracle
+    # read back through from_coeffs
+    field, a, b, q, k = sample
+    zeros = [
+        field.zero, b - b, a * 0, field.from_rational(Fraction(0, 7)),
+        field.from_coeffs([0] * (field.degree + 2)),
+    ]
+    oa = FractionCyclo.of(a)
+    for z in zeros:
+        assert (z.num, z.den) == ((0,) * field.degree, 1)
+        oz = FractionCyclo.of(z)
+        pairs = [
+            (a * z, oa * oz), (z * a, oz * oa), (z * z, oz * oz),
+            (a + z, oa + oz), (z + a, oz + oa), (a - z, oa - oz),
+            (z - a, oz - oa), (z + z, oz + oz), (z - z, oz - oz),
+        ]
+        for got, want in pairs:
+            assert_same_layout(got, field.from_coeffs(want.coeffs))
+            assert_canonical(got)
+        assert_same_layout(a * z, field.zero)
+    for got in (a * 0, a * Fraction(0), 0 * a):
+        assert_same_layout(got, field.zero)
+    for got in (a + 0, a - Fraction(0), 0 + a):
+        assert_same_layout(got, a)
+
+
 def test_field_mismatch_rejected():
     with pytest.raises(FieldMismatch):
         F4.one + F12.one

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
-from helpers import kernel_centroid_grading, mat_apply
+from helpers import kernel_centroid_grading, mat_apply, zero_algebra
+from loomalg import grading
 from loomalg.errors import InvalidGrading, NotAnAutomorphism
 from loomalg.exactnum import CycloField, CycloNumber
 from loomalg.findim import direct_sum, matrix_algebra, sl_algebra, sl_basis
@@ -25,6 +28,7 @@ from loomalg.grading import (
     validate_grading,
 )
 from loomalg.linalg import (
+    charpoly,
     identity_matrix,
     mat_mul,
     unit_vector,
@@ -99,6 +103,42 @@ def test_auto_rejects_bad_shapes_and_singularity():
     zero_m = tuple(tuple(F2.zero for _ in range(3)) for _ in range(3))
     with pytest.raises(NotAnAutomorphism):
         FiniteOrderAuto(alg, zero_m)
+
+
+def test_auto_with_a_fractional_charpoly_fails_before_the_order_search(
+        monkeypatch):
+    # conjugation by u on mat(2) over Q(zeta_4): u has eigenvalues that are
+    # not roots of unity and the charpoly of the conjugation is not
+    # integral, so the order search, which squares nothing here but would
+    # multiply growing entries up to its cap, must never start
+    zeta, one = F4.zeta, F4.one
+    u = ((zeta**-2, 17 * one), (Fraction(-19, 2) * zeta**3, -8 * one))
+    alg = matrix_algebra(2, F4)
+    products = []
+    monkeypatch.setattr(grading, "mat_mul",
+                        lambda a, b: products.append(1) or mat_mul(a, b))
+    with pytest.raises(NotAnAutomorphism, match="not integral"):
+        conjugation_auto(alg, u)
+    assert products == []
+
+
+def test_auto_of_finite_order_with_fractional_entries_keeps_its_period():
+    # the charpoly of a finite-order map is integral even when its matrix
+    # is not: conjugation by the involution [[0, 1/2], [2, 0]]
+    half, two, zero = F2.from_rational(Fraction(1, 2)), 2 * F2.one, F2.zero
+    auto = conjugation_auto(matrix_algebra(2, F2), ((zero, half), (two, zero)))
+    assert not all(c.is_integral() for row in auto.matrix for c in row)
+    assert all(c.is_integral() for c in charpoly(auto.matrix, F2))
+    assert auto.period == 2
+
+
+def test_auto_of_infinite_order_with_an_integral_charpoly_hits_the_cap():
+    # every invertible map of a zero-product algebra is an automorphism;
+    # [[2, 1], [1, 1]] has charpoly x^2 - 3x + 1 and infinite order
+    alg = zero_algebra(2, F2)
+    m = ((2 * F2.one, F2.one), (F2.one, F2.one))
+    with pytest.raises(NotAnAutomorphism, match="no finite order found"):
+        FiniteOrderAuto(alg, m)
 
 
 def test_auto_rejects_non_multiplicative_map():

@@ -20,6 +20,7 @@ from helpers import (
     recursive_projection,
     scaled_apply,
     sliced_apply,
+    swap_sum_tower,
 )
 from loomalg import loops
 from loomalg.centroid_loop import centroid_tower
@@ -31,7 +32,6 @@ from loomalg.fixtures import (
     fixture_registry,
     hermitian_tower,
     quantum_torus_tower,
-    swap_sum_fixture,
     synthetic_kind_towers,
 )
 from loomalg.grading import FiniteOrderAuto
@@ -41,7 +41,6 @@ from loomalg.loops import (
     LaurentElement,
     LoopTower,
     ToralMonomialAuto,
-    TowerStage,
     box_coordinates,
     canonical_form,
     canonical_reconstruct,
@@ -614,23 +613,11 @@ def _three_stage_multiloop():
     return multiloop(base, autos, [field.zeta] * 3)
 
 
-def _swap_sum_tower():
-    # sl(2) + sl(2), whose centroid is not the scalars: both stages swap
-    # the summands, and the second also inverts z1 and twists by (-1)^(j1)
-    fix = swap_sum_fixture()
-    field, auto = fix["field"], fix["auto"]
-    return LoopTower(fix["algebra"], [
-        TowerStage(ToralMonomialAuto(auto, (), (), field.one), 2, field.zeta),
-        TowerStage(ToralMonomialAuto(auto, ((-1,),), (1,), field.zeta),
-                   2, field.zeta),
-    ])
-
-
 _ORACLE_TOWERS = {
     **{name: (lambda name=name: _REGISTRY[name]["tower"])
        for name in _REGISTRY},
     "three-stage-mat2": _three_stage_multiloop,
-    "swap-sum": _swap_sum_tower,
+    "swap-sum": swap_sum_tower,
 }
 
 
@@ -701,9 +688,9 @@ def test_projection_runs_once_per_class_and_coordinate(name, monkeypatch):
     calls = []
     project_once = loops._project_once
 
-    def counted(tower, y):
-        calls.append(y)
-        return project_once(tower, y)
+    def counted(*args):
+        calls.append(args)
+        return project_once(*args)
 
     monkeypatch.setattr(loops, "_project_once", counted)
     box = DegreeBox(tuple(

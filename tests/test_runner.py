@@ -202,6 +202,24 @@ def test_refused_stages_carry_code_and_message(name):
     }
 
 
+def test_auto_of_infinite_order_with_fractional_charpoly_is_refused_at_once():
+    # the order search multiplied this matrix by itself up to 4,096 times,
+    # its entries growing at each step; the fractional charpoly ends it
+    src = (
+        "field zeta 4;\nalgebra V = sl(2);\n"
+        "auto U = conj(V, [[zeta(4)^-2, 17], [-19/2 * zeta(4)^3, -16/2]]);\n"
+        "grading G = eigenspaces(U);\ncheck grading G on V;\n"
+    )
+    started = time.perf_counter()
+    report = run_source(src)
+    assert time.perf_counter() - started < 60
+    assert entry(report, "check grading")["error"] == {
+        "code": "not-an-automorphism",
+        "message": "characteristic polynomial is not integral, so the "
+                   "automorphism has infinite order",
+    }
+
+
 # -- command content --------------------------------------------------------
 
 
