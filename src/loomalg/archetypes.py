@@ -145,6 +145,7 @@ def _split_blocks(op, blocks, field):
     blocks fill the space, so filling every block is the same as op being
     diagonalizable with all eigenvalues in the field.  Distinct roots have
     independent eigenspaces, so a filled block takes no further roots."""
+    zero = field.zero
     lams = [lam for lam, _ in
             polyfactor.roots_in_field(charpoly(op.matrix, field))]
     refined = []
@@ -160,15 +161,19 @@ def _split_blocks(op, blocks, field):
             columns = []
             for img, support in zip(images, supports):
                 col = dict(img)  # (op - lam) b
-                for j, x in support:
-                    col[j] = col[j] - lam * x if j in col else -(lam * x)
+                if lam:
+                    for j, x in support:
+                        col[j] = col[j] - lam * x if j in col else -(lam * x)
                 columns.append(col)
             vecs = []
             for sol in column_kernel(range(len(block)), columns, field):
-                v = zero_vector(field, op.dim)
+                # sum c b_i over the nonzero entries of each b_i
+                acc = {}
                 for i, c in sol.items():
-                    v = vec_add(v, vec_scale(c, block[i]))
-                vecs.append(v)
+                    for j, x in supports[i]:
+                        cur = acc.get(j)
+                        acc[j] = c * x if cur is None else cur + c * x
+                vecs.append(tuple(acc.get(j, zero) for j in range(op.dim)))
             if vecs:
                 refined.append((weight + (lam,), vecs))
                 filled += len(vecs)

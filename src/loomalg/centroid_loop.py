@@ -162,16 +162,6 @@ def stabilizes(tower: LoopTower, maps, u: LaurentElement,
     )
 
 
-def _member_degree(x: LaurentElement, exponents):
-    """A degree of a window member's support, checked to share its
-    exponents in the variables with a period with the whole support."""
-    if len({exponents(deg) for deg in x.support}) != 1:
-        raise InvariantViolated(
-            "window member is not homogeneous in the variables with a period"
-        )
-    return next(iter(x.support))
-
-
 def stabilizer_in_box(tower: LoopTower, box: DegreeBox) -> StabilizerBasis:
     """Window basis of {u in C(A) (x) Laurent : u . L inside L}.
 
@@ -179,10 +169,10 @@ def stabilizer_in_box(tower: LoopTower, box: DegreeBox) -> StabilizerBasis:
     kernel, posed on the tower's period classes (LoopTower): the rows come
     from the members at the first degree of each class in the box.
     Members are homogeneous in the variables with a period, so unknowns
-    whose exponents there differ share no row, and a block is the box
-    degrees with given exponents in those variables.  The first block of
-    each class in the box is solved and its canonical kernel shifted onto
-    the other blocks of the class.  The constraint sets equal those of
+    in different slices (LoopTower.degree_slice) share no row, and a block
+    is the box degrees of one slice.  The first block of each class in the
+    box is solved and its canonical kernel shifted onto the other blocks of
+    the class.  The constraint sets equal those of
     the whole window, so the kernels do too.  The same box serves as the
     action-verification window.  Scalar centroid maps act without a
     matrix (see centroid_action).  Each box is solved once per tower;
@@ -202,19 +192,13 @@ def stabilizer_in_box(tower: LoopTower, box: DegreeBox) -> StabilizerBasis:
     r = calg.dim
     field = tower.field
     lows = tuple(-x for x in box.radius)
-    periods = tower.degree_periods
-
-    def exponents(d):
-        # a degree's exponents in the variables with a period
-        return tuple(g for g, period in zip(d, periods) if period is not None)
-
     members = [
         x for x in tower.basis_in_box(box)
-        if not any(tower.class_shift(_member_degree(x, exponents), lows))
+        if not any(tower.class_shift(tower.member_degree(x), lows))
     ]
     blocks = {}
     for d in box.degrees():
-        blocks.setdefault(exponents(d), []).append(d)
+        blocks.setdefault(tower.degree_slice(d), []).append(d)
 
     def block_kernel(block_degs):
         keys = [(d, s) for d in block_degs for s in range(r)]
@@ -243,11 +227,11 @@ def stabilizer_in_box(tower: LoopTower, box: DegreeBox) -> StabilizerBasis:
     elements = []
     dims_by_degree = dict.fromkeys(range(lows[-1], box.radius[-1] + 1), 0)
     # blocks in order of the outermost exponent (P_n is always set), then
-    # of their exponents
+    # of their slices
     for key in sorted(blocks, key=lambda k: (k[-1], k)):
         head = blocks[key][0]
         shift = tower.class_shift(head, lows)
-        first = exponents(tuple(g - o for g, o in zip(head, shift)))
+        first = tower.degree_slice(tuple(g - o for g, o in zip(head, shift)))
         if first not in kernels:
             kernels[first] = block_kernel(blocks[first])
         dims_by_degree[key[-1]] += len(kernels[first])

@@ -637,21 +637,33 @@ def _simple_candidates(a: StructureAlgebra, basis_mats):
     Each is built only when the search asks for it; the draws are the same
     as when all are built first."""
     field = a.field
+    zero = field.zero
+    n = a.dim
     rng = random.Random(_SIMPLE_SEED)
+    entries = {}  # basis matrix index -> its nonzero (row, column, entry)
     for _ in range(_SIMPLE_TRIALS):
         hi = min(4, len(basis_mats))
         terms = rng.randint(min(2, hi), hi)
         picks = rng.sample(range(len(basis_mats)), terms)
-        m = None
+        # summed in pick order over the picked matrices' nonzero entries,
+        # so each candidate equals the dense scale-and-add of the draws
+        acc = {}
         for p in picks:
             c = field.from_rational(rng.randint(-2, 2))
-            scaled = tuple(
-                tuple(c * x for x in row) for row in basis_mats[p]
-            )
-            m = scaled if m is None else tuple(
-                tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(m, scaled)
-            )
-        yield m
+            if not c:
+                continue
+            nonzero = entries.get(p)
+            if nonzero is None:
+                nonzero = entries[p] = [
+                    (i, j, x) for i, row in enumerate(basis_mats[p])
+                    for j, x in enumerate(row) if x
+                ]
+            for i, j, x in nonzero:
+                cur = acc.get((i, j))
+                acc[(i, j)] = c * x if cur is None else cur + c * x
+        yield tuple(
+            tuple(acc.get((i, j), zero) for j in range(n)) for i in range(n)
+        )
     for i in range(a.dim):
         e = a.basis_vector(i)
         yield a.left_mult(e).matrix

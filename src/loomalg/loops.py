@@ -627,6 +627,24 @@ class LoopTower:
             for g, o, period in zip(degree, origin, self.degree_periods)
         )
 
+    def degree_slice(self, degree):
+        """The slice of a degree: its exponents in the variables with a
+        period.  Members are homogeneous in those variables, so a member
+        lies in one slice, and the product of members of slices s and t
+        lies in slice s + t."""
+        return tuple(g for g, period in zip(degree, self.degree_periods)
+                     if period is not None)
+
+    def member_degree(self, x: LaurentElement):
+        """A degree of a window member's support, checked to share its
+        slice with the whole support."""
+        if len({self.degree_slice(deg) for deg in x.support}) != 1:
+            raise InvariantViolated(
+                "window member is not homogeneous in the variables with a "
+                "period"
+            )
+        return next(iter(x.support))
+
     # -- window bases ------------------------------------------------------
 
     def basis_in_box(self, box: DegreeBox):
@@ -904,6 +922,60 @@ def free_basis_check(tower: LoopTower, box: DegreeBox):
     }
 
 
+def _covers_inner_window(tower: LoopTower, window, inner, lie: bool,
+                         unordered: bool) -> bool:
+    """Do the products of pairs of window members span every inner member?
+
+    Slice by slice (LoopTower.degree_slice): the products whose slices sum
+    to one holding inner members go to that slice's own echelon, pairs in
+    window order; a pair of any other slice is never formed.  Whenever a
+    new pivot brings a slice's rank up to the number of its members still
+    uncovered, those are reduced, and the slice is done once none is left.
+    False as soon as a slice runs out of pairs first."""
+    base = tower.base
+    pending = {}
+    for y in inner:
+        pending.setdefault(tower.degree_slice(tower.member_degree(y)),
+                           []).append(y.sparse_items())
+    members = []  # (slice, nonzero terms by degree), in window order
+    by_slice = {}  # slice -> [(window index, nonzero terms by degree)]
+    for t, b in enumerate(window):
+        key = tower.degree_slice(tower.member_degree(b))
+        terms = [(deg, nonzero_terms(vec)) for deg, vec in b.support.items()]
+        members.append((key, terms))
+        by_slice.setdefault(key, []).append((t, terms))
+    keys = {}  # degree -> the row keys (degree, k) of its coordinates
+
+    def rows(target):
+        for i, (key, a_terms) in enumerate(members):
+            partner = tuple(g - h for g, h in zip(target, key))
+            for j, b_terms in by_slice.get(partner, ()):
+                if unordered and (j <= i if lie else j < i):
+                    continue
+                row = {}
+                for d1, x_terms in a_terms:
+                    for d2, y_terms in b_terms:
+                        deg = tuple(p + q for p, q in zip(d1, d2))
+                        deg_keys = keys.get(deg)
+                        if deg_keys is None:
+                            deg_keys = keys[deg] = tuple(
+                                (deg, k) for k in range(base.dim))
+                        base.add_product(row, deg_keys, x_terms, y_terms)
+                yield row
+
+    for target in sorted(pending):
+        uncovered = pending[target]
+        ech = SparseEchelon()
+        for row in rows(target):
+            if ech.add_row(row) is not None and ech.rank >= len(uncovered):
+                uncovered = [y for y in uncovered if ech.reduce_vector(y)]
+                if not uncovered:
+                    break
+        if uncovered:
+            return False
+    return True
+
+
 def inherited_flags(tower: LoopTower):
     """Base properties carried to the loop by the permanence theorem.
 
@@ -911,18 +983,25 @@ def inherited_flags(tower: LoopTower):
     additionally certified inside the window whose radii are the stage
     moduli when they hold there.
 
-    The perfectness certificate forms each unordered pair of window members
-    once when the base is commutative or Lie.  A Laurent product sums
-    a_d . b_e at degree d + e, so over such a base b . a = +-a . b, and
-    over a Lie base a . a = 0 (each a_d . a_d vanishes and the terms
-    a_d . a_e, a_e . a_d cancel).  The row space, and so the verdict, is
-    that of all ordered pairs; any other base takes every ordered pair.
+    Perfectness is certified when the products of pairs of window members
+    span every member of the inner window, box.halved(); products of
+    members stay members, so this certifies perfectness of everything the
+    inner window sees.  The span is a direct sum over slices
+    (LoopTower.degree_slice): members are homogeneous in the variables
+    with a period, a product a . b lies in the slice of exp(a) + exp(b),
+    and rows of different slices share no coordinate.  So each inner
+    member needs only the rows of its own slice, a pair is formed only
+    when its slice holds inner members, and a slice takes no more pairs
+    once its inner members are covered (_covers_inner_window).  A pair
+    whose product vanishes is sent too, and the echelon drops it.
 
-    The nonzero terms of each member are listed once.  The row of a pair
-    is summed by `StructureAlgebra.add_product` straight under its
-    (degree, coordinate) keys and goes to the echelon as it is, even when
-    the product vanishes, so no product is built as a Laurent element or
-    a dense vector."""
+    When the base is commutative or Lie, each unordered pair is formed
+    once.  A Laurent product sums a_d . b_e at degree d + e, so over such a
+    base b . a = +-a . b, and over a Lie base a . a = 0 (each a_d . a_d
+    vanishes and the terms a_d . a_e, a_e . a_d cancel).  Any other base
+    takes every ordered pair.  The row of a pair is summed by
+    `StructureAlgebra.add_product` straight under its (degree, coordinate)
+    keys, from the nonzero terms of each member, listed once."""
     base_report = property_report(tower.base)
     base = tower.base
 
@@ -944,34 +1023,9 @@ def inherited_flags(tower: LoopTower):
     if window:
         loop_flags["nonzero"] = {"value": True, "source": "verified-in-box"}
     if base_report["perfect"]["value"]:
-        # span of pairwise window products must cover an inner window;
-        # products of members stay members, so this certifies perfectness
-        # of everything the inner window sees
         lie = base_report["lie"]["value"]
         unordered = lie or base_report["commutative"]["value"]
-        members = [
-            [(deg, nonzero_terms(vec)) for deg, vec in a.support.items()]
-            for a in window
-        ]
-        keys = {}  # degree -> the row keys (degree, k) of its coordinates
-        ech = SparseEchelon()
-        for i, a_terms in enumerate(members):
-            start = (i + 1 if lie else i) if unordered else 0
-            for b_terms in members[start:]:
-                row = {}
-                for d1, x_terms in a_terms:
-                    for d2, y_terms in b_terms:
-                        deg = tuple(p + q for p, q in zip(d1, d2))
-                        deg_keys = keys.get(deg)
-                        if deg_keys is None:
-                            deg_keys = keys[deg] = tuple(
-                                (deg, k) for k in range(base.dim))
-                        base.add_product(row, deg_keys, x_terms, y_terms)
-                ech.add_row(row)
-        ok = all(
-            not ech.reduce_vector(y.sparse_items())
-            for y in tower.basis_in_box(box.halved())
-        )
-        if ok:
+        inner = tower.basis_in_box(box.halved())
+        if _covers_inner_window(tower, window, inner, lie, unordered):
             loop_flags["perfect"] = {"value": True, "source": "verified-in-box"}
     return {"base": base_report, "loop": loop_flags, "box": box.radius}

@@ -329,10 +329,11 @@ def dense_laurent_multiply(algebra: StructureAlgebra, x: LaurentElement,
 
 def ordered_pair_products(tower):
     """The nonzero a . b, as sparse rows, over every ordered pair of members
-    of the window whose radii are the stage moduli: the rows the perfectness
-    certificate of `loops.inherited_flags` spans on any base.  The products
-    are dense (`dense_laurent_multiply`), so the rows do not depend on the
-    product routine the certificate uses."""
+    of the window whose radii are the stage moduli: the oracle of the
+    perfectness certificate of `loops.inherited_flags` on any base, whose
+    rows lie in their span and cover the inner window exactly when they
+    do.  The products are dense (`dense_laurent_multiply`), so the rows do
+    not depend on the product routine the certificate uses."""
     box = DegreeBox(tuple(s.modulus for s in tower.stages))
     window = tower.basis_in_box(box)
     rows = []
