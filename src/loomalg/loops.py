@@ -246,9 +246,6 @@ class LaurentElement:
         return LaurentElement._from_nonzero(
             self.field, self.arity + 1, self.base_dim, support)
 
-    def in_box(self, box: DegreeBox) -> bool:
-        return all(box.contains(deg) for deg in self.support)
-
     def sparse_items(self):
         """(degree, coordinate) -> scalar view, for echelon bookkeeping."""
         out = {}
@@ -321,21 +318,6 @@ def laurent_multiply(
                 row = acc[deg] = {}
             algebra.add_product(row, coords, x_terms, terms)
     return LaurentElement._from_rows(x.field, x.arity, x.base_dim, acc)
-
-
-def box_coordinates(x: LaurentElement, box: DegreeBox):
-    """Flatten a window element over (degree, coordinate) positions."""
-    if not x.in_box(box):
-        raise DimensionMismatch("element has support outside the box")
-    field = x.field
-    out = []
-    for deg in box.degrees():
-        vec = x.support.get(deg)
-        if vec is None:
-            out.extend(field.zero for _ in range(x.base_dim))
-        else:
-            out.extend(vec)
-    return tuple(out)
 
 
 def _int_matrix_det(m):

@@ -63,9 +63,11 @@ SCHEMA_VERSION = 1
 DEFAULT_SEED = 20260214
 # Largest window a command may run in, counted as box volume times base
 # dimension: the coordinates a window element has.  No fixture, test or
-# benchmark workload comes within a tenth of it.  The solve grows about
-# quadratically in the count, so a larger box is refused up front rather
-# than left to run for hours.
+# benchmark workload comes within a tenth of it.  It bounds the size of what
+# a window command builds: the window bases, the stabilizer's unknowns and
+# the sparse rows of the span checks.  On a one-stage tower these grow about
+# linearly in the count.  It is not a work budget, since the work per
+# coordinate still grows with the base dimension and the number of stages.
 WINDOW_LIMIT = 40_000
 
 

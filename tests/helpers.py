@@ -14,7 +14,6 @@ from loomalg.centroid_loop import (
     StabilizerBasis,
     centroid_action,
     stabilizer_in_box,
-    window_span,
 )
 from loomalg.dsl import DIAGNOSTIC_CODES
 from loomalg.errors import DimensionMismatch, InvariantViolated, NotSplit
@@ -41,7 +40,6 @@ from loomalg.loops import (
     LoopTower,
     ToralMonomialAuto,
     TowerStage,
-    box_coordinates,
     member_projection,
 )
 
@@ -510,6 +508,30 @@ def sympy_factor(p, field):
     out.sort(key=lambda fk: (polyfactor.pdeg(fk[0]),
                              tuple(c.coeffs for c in fk[0])))
     return out
+
+
+def box_coordinates(x: LaurentElement, box: DegreeBox):
+    """Flatten a window element over (degree, coordinate) positions, the
+    box degrees in order, each with all base_dim coordinates."""
+    if not all(box.contains(deg) for deg in x.support):
+        raise DimensionMismatch("element has support outside the box")
+    field = x.field
+    out = []
+    for deg in box.degrees():
+        vec = x.support.get(deg)
+        if vec is None:
+            out.extend(field.zero for _ in range(x.base_dim))
+        else:
+            out.extend(vec)
+    return tuple(out)
+
+
+def window_span(elements, box: DegreeBox, field, coeff_dim: int) -> Subspace:
+    """Oracle for centroid_loop.same_span: the canonical subspace spanned
+    by window elements, each flattened densely over the whole box, so two
+    families span the same space exactly when their subspaces are equal."""
+    vecs = [box_coordinates(e, box) for e in elements]
+    return Subspace(field, box.volume() * coeff_dim, vecs)
 
 
 def element_from_box_coordinates(field, base_dim, box: DegreeBox, flat):

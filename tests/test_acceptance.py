@@ -16,7 +16,11 @@ from pathlib import Path
 
 import pytest
 
-from helpers import hermitian_orbit_count, restricted_stabilizer_span
+from helpers import (
+    hermitian_orbit_count,
+    restricted_stabilizer_span,
+    window_span,
+)
 from loomalg.archetypes import associative_type, lie_split_type, tower_type
 from loomalg.centroid_loop import (
     kind_classify,
@@ -26,7 +30,6 @@ from loomalg.centroid_loop import (
     strange_ring_audit,
     stabilizes,
     untwist_check,
-    window_span,
 )
 from loomalg.dsl import Command, Document, parse
 from loomalg.errors import NotSplit

@@ -8,10 +8,12 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    box_coordinates,
     hermitian_orbit_count,
     projection_stabilizes,
     reference_centroid_action,
     restricted_stabilizer_span,
+    window_span,
     window_stabilizer,
     zero_algebra,
 )
@@ -24,11 +26,11 @@ from loomalg.centroid_loop import (
     kind_classify,
     multiloop_centroid_check,
     psi_check,
+    same_span,
     stabilizer_in_box,
     stabilizes,
     strange_ring_audit,
     untwist_check,
-    window_span,
 )
 from loomalg.errors import HypothesisNotMet, InvariantViolated, LoomError
 from loomalg.exactnum import CycloField
@@ -49,14 +51,13 @@ from loomalg.fixtures import (
     synthetic_kind_towers,
 )
 from loomalg.grading import FiniteOrderAuto, auto_from_grading
-from loomalg.linalg import SpanSolver, mat_mul
+from loomalg.linalg import SpanSolver, SparseEchelon, mat_mul
 from loomalg.loops import (
     DegreeBox,
     LaurentElement,
     LoopTower,
     ToralMonomialAuto,
     TowerStage,
-    box_coordinates,
     laurent_multiply,
     multiloop,
     tower_membership,
@@ -473,6 +474,147 @@ def test_centroid_tower_matches_stabilizer_window():
         got = window_span(stab.elements, box, field, calg.dim)
         want = window_span(ctower.basis_in_box(box), box, field, calg.dim)
         assert got == want
+
+
+# -- span comparison against the dense window oracle ------------------------
+
+
+def dense_same_span(first, second, box):
+    """Oracle for same_span: equality of the subspaces the two families
+    span, every element flattened densely over the whole box."""
+    sample = (list(first) + list(second))[0]
+    field, dim = sample.field, sample.base_dim
+    return window_span(first, box, field, dim) == window_span(
+        second, box, field, dim
+    )
+
+
+def expected_monomials(tower, box):
+    """The monomials z^(m.k) in the box, a multiloop's centroid window."""
+    field = tower.field
+    return [
+        LaurentElement.monomial(field, tower.n, 1, d, (field.one,))
+        for d in box.degrees()
+        if all(di % m == 0 for di, m in zip(d, tower.moduli()))
+    ]
+
+
+def is_multiloop(tower):
+    return None not in tower.degree_periods and not any(
+        any(stage.twist.c_vector) for stage in tower.stages
+    )
+
+
+def assert_span_verdicts_match(first, second, box):
+    # the family itself, and a strict subspace of it (its last element
+    # dropped), in both orders
+    for a, b in ((first, second), (first[:-1], second)):
+        want = dense_same_span(a, b, box)
+        assert same_span(a, b) == same_span(b, a) == want
+
+
+@pytest.mark.parametrize("name", sorted(_REGISTRY))
+def test_same_span_matches_the_dense_oracle_on_the_registry(name):
+    tower = _REGISTRY[name]["tower"]
+    ctower = centroid_tower(tower)[0]
+    for r in range(1, 5):
+        box = DegreeBox((r, r))
+        stab = stabilizer_in_box(tower, box).elements
+        assert_span_verdicts_match(stab, ctower.basis_in_box(box), box)
+        if is_multiloop(tower):
+            assert_span_verdicts_match(
+                stab, expected_monomials(tower, box), box
+            )
+
+
+def test_same_span_matches_the_dense_oracle_on_the_swap_fixture():
+    tower = swap_loop_tower()
+    ctower = centroid_tower(tower)[0]
+    for r in range(1, 5):
+        box = DegreeBox((r,))
+        assert_span_verdicts_match(
+            stabilizer_in_box(tower, box).elements,
+            ctower.basis_in_box(box), box,
+        )
+
+
+def echelon_of(family):
+    ech = SparseEchelon()
+    for e in family:
+        ech.add_row(e.sparse_items())
+    return ech
+
+
+def rank_only(first, second):
+    """A span comparison that looks only at the ranks."""
+    return echelon_of(first).rank == echelon_of(second).rank
+
+
+def contains_all(first, second):
+    """A one-way span comparison: is second inside the span of first?"""
+    ech = echelon_of(first)
+    return not any(ech.reduce_vector(e.sparse_items()) for e in second)
+
+
+def assert_different_spans(first, second, box):
+    assert not same_span(first, second)
+    assert not same_span(second, first)
+    assert not dense_same_span(first, second, box)
+
+
+def qt_stabilizer_and_lattice():
+    tower = quantum_torus_tower(2)["tower"]
+    box = DegreeBox((2, 2))
+    stab = stabilizer_in_box(tower, box).elements
+    lattice = expected_monomials(tower, box)
+    assert same_span(stab, lattice)
+    return tower.field, box, stab, lattice
+
+
+def test_same_span_refuses_a_strict_subspace():
+    _, box, stab, lattice = qt_stabilizer_and_lattice()
+    smaller = stab[1:]
+    assert contains_all(lattice, smaller)
+    assert_different_spans(smaller, lattice, box)
+
+
+def test_same_span_refuses_a_strict_superspace():
+    field, box, stab, lattice = qt_stabilizer_and_lattice()
+    larger = lattice + [scalar_monomial(field, (1, 0))]
+    assert contains_all(larger, stab)
+    assert_different_spans(stab, larger, box)
+
+
+def test_same_span_refuses_an_equal_rank_other_span():
+    _, box, stab, lattice = qt_stabilizer_and_lattice()
+    moved = lattice[:-1] + [lattice[-1].shift((-1, 0))]
+    assert moved[-1].degrees() != lattice[-1].degrees()
+    assert rank_only(stab, moved)
+    assert_different_spans(stab, moved, box)
+
+
+def test_same_span_on_elements_spread_over_several_degrees():
+    herm = hermitian_tower(1)
+    field = herm["field"]
+    data = kind_classify(herm["tower"]).witness
+    u1, w = data.u1, data.w
+    assert len(u1.degrees()) == len(w.degrees()) == 2
+    box = DegreeBox((2, 2))
+    low, high = u1.degrees()
+    ends = [scalar_monomial(field, high), scalar_monomial(field, low)]
+    # same span, written with different spread-out elements
+    assert same_span([u1, w], [u1.add(w), u1.sub(w)])
+    assert dense_same_span([u1, w], [u1.add(w), u1.sub(w)], box)
+    # u1 = z1^m1 + rho z1^-m1 and z1^m1 - rho z1^-m1 span both ends of u1
+    conj = u1.sub(ends[1].scale(data.rho * 2))
+    assert conj.degrees() == u1.degrees() and conj != u1
+    assert same_span([u1, conj], ends)
+    assert dense_same_span([u1, conj], ends, box)
+    # equal rank, other span: u1 and w against the two ends of u1
+    assert rank_only([u1, w], ends)
+    assert_different_spans([u1, w], ends, box)
+    assert rank_only([u1], ends[:1])
+    assert_different_spans([u1], ends[:1], box)
 
 
 # -- psi comparison ---------------------------------------------------------

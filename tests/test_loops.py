@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    box_coordinates,
     column_ideal_algebra,
     cross_product_algebra,
     dense_laurent_multiply,
@@ -52,7 +53,6 @@ from loomalg.loops import (
     LoopTower,
     ToralMonomialAuto,
     TowerStage,
-    box_coordinates,
     canonical_form,
     canonical_reconstruct,
     free_basis_check,

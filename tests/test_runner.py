@@ -472,6 +472,27 @@ def test_oversized_window_fails_fast():
     assert untwist["ok"] is True
 
 
+def test_large_one_stage_window_is_certified():
+    # 4001 coordinates: the span checks compare sparse rows degree by
+    # degree, where a dense flattening over the box took over 30 s
+    started = time.perf_counter()
+    report = run_source(
+        "algebra U = unit();\n"
+        "auto I = identity(U);\n"
+        "tower T = loop(U, stage(I, 1));\n"
+        "centroid T box 2000;\n"
+        "untwist T box 2000;\n"
+    )
+    assert time.perf_counter() - started < 10.0
+    assert report["ok"] is True
+    centroid, untwist = report["commands"]
+    assert centroid["ok"] is True and untwist["ok"] is True
+    assert centroid["stabilizer_dim"] == untwist["stabilizer_dim"] == 4001
+    assert centroid["lattice"]["ok"] is True
+    assert centroid["lattice"]["expected_count"] == 4001
+    assert untwist["base_vectors_checked"] == 4001
+
+
 def test_window_limit_is_far_above_every_fixture_window():
     for path in sorted(FIXTURES.glob("*.loom")):
         result = parse(path.read_text(encoding="utf-8"))
