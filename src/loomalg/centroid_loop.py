@@ -12,7 +12,12 @@ from __future__ import annotations
 import random
 from math import gcd
 
-from .errors import HypothesisNotMet, InvariantViolated, LoomError
+from .errors import (
+    DimensionMismatch,
+    HypothesisNotMet,
+    InvariantViolated,
+    LoomError,
+)
 from .exactnum import CycloNumber
 from .findim import (
     StructureAlgebra,
@@ -21,7 +26,6 @@ from .findim import (
     is_pfgc_findim,
     is_simple,
     matrix_algebra,
-    nonzero_terms,
 )
 from .grading import ModGrading, auto_from_grading, centroid_twist
 from .linalg import SparseEchelon, column_kernel
@@ -103,18 +107,17 @@ def centroid_action(maps, u: LaurentElement, x: LaurentElement) -> LaurentElemen
     (chi (x) z^d) . (a (x) z^e) = chi(a) (x) z^(d+e), extended bilinearly.
     Maps whose `scalar` is set (c times the identity, as `centroid_algebra`
     decides for a central base) act without a matrix: per degree of u their
-    coefficients fold into one scalar that scales x's nonzero entries; only
-    the other maps are applied, by `LinearMap.apply`, which reads the
-    columns at x's nonzero coordinates."""
+    coefficients fold into one scalar that scales x's rows; only the other
+    maps are applied, by `LinearMap.apply` on x's coefficient vector, which
+    reads the columns at its nonzero coordinates."""
     if u.arity != x.arity:
-        raise LoomError("action arity mismatch", code="arity-mismatch")
+        raise DimensionMismatch("action arity mismatch")
     one = x.field.one
-    x_terms = {dx: nonzero_terms(vx) for dx, vx in x.support.items()}
     rows = {}
-    for du, cu in u.support.items():
+    for du, cu in u.rows.items():
         scalar = None
         matrices = []
-        for s, coeff in nonzero_terms(cu):
+        for s, coeff in cu.items():
             c = maps[s].scalar
             if c is None:
                 matrices.append((coeff, maps[s]))
@@ -126,7 +129,7 @@ def centroid_action(maps, u: LaurentElement, x: LaurentElement) -> LaurentElemen
         if scalar is None and not matrices:
             continue
         unit = scalar is not None and scalar == one
-        for dx, vx in x.support.items():
+        for dx, rx in x.rows.items():
             deg = tuple(a + b for a, b in zip(du, dx))
             row = rows.get(deg)
             if row is None:
@@ -134,12 +137,12 @@ def centroid_action(maps, u: LaurentElement, x: LaurentElement) -> LaurentElemen
             if scalar is None:
                 terms = []
             elif unit:
-                terms = x_terms[dx]
+                terms = list(rx.items())
             else:
-                terms = [(j, scalar * a) for j, a in x_terms[dx]]
+                terms = [(j, scalar * a) for j, a in rx.items()]
             for coeff, mp in matrices:
-                terms = terms + [(i, coeff * v)
-                                 for i, v in nonzero_terms(mp.apply(vx))]
+                terms += [(i, coeff * v) for i, v in
+                          enumerate(mp.apply(x.coefficient(dx))) if v]
             for j, v in terms:
                 cur = row.get(j)
                 row[j] = v if cur is None else cur + v
@@ -173,7 +176,9 @@ def stabilizer_in_box(tower: LoopTower, box: DegreeBox) -> StabilizerBasis:
     matrix (see centroid_action).  Each box is solved once per tower;
     later calls return the stored basis."""
     if box.arity != tower.n:
-        raise LoomError("box arity does not match the tower")
+        raise DimensionMismatch(
+            f"box arity {box.arity}, tower has {tower.n} stages"
+        )
     stored = tower._stabilizer_cache.get(box.radius)
     if stored is not None:
         return stored
@@ -182,7 +187,9 @@ def stabilizer_in_box(tower: LoopTower, box: DegreeBox) -> StabilizerBasis:
             "stabilizer realization requires a pfgc base"
         )
     if tower.n == 0:
-        raise LoomError("stabilizer windows need at least one loop stage")
+        raise HypothesisNotMet(
+            "stabilizer windows need at least one loop stage"
+        )
     calg, maps = centroid_algebra(tower.base)
     r = calg.dim
     field = tower.field
@@ -207,11 +214,11 @@ def stabilizer_in_box(tower: LoopTower, box: DegreeBox) -> StabilizerBasis:
             column = {}
             for t, x in enumerate(members):
                 ux = centroid_action(maps, u, x)
-                for deg, vec in ux.support.items():
-                    for k, val in nonzero_terms(vec):
+                for deg, row in ux.rows.items():
+                    for k, val in row.items():
                         column[(t, deg, k)] = val
-                for deg, vec in member_projection(tower, ux).support.items():
-                    for k, val in nonzero_terms(vec):
+                for deg, row in member_projection(tower, ux).rows.items():
+                    for k, val in row.items():
                         key = (t, deg, k)
                         cur = column.get(key)
                         column[key] = -val if cur is None else cur - val
@@ -323,7 +330,9 @@ def psi_check(algebra: StructureAlgebra, grading: ModGrading, box: DegreeBox):
     window lands inside the stabilizer with matching per-degree dimensions,
     acting by the centroid product rule."""
     if box.arity != 1:
-        raise LoomError("psi comparison is a 1-step statement")
+        raise DimensionMismatch(
+            f"psi comparison is a 1-step statement, box arity {box.arity}"
+        )
     if not is_pfgc_findim(algebra):
         raise HypothesisNotMet("psi comparison requires a pfgc algebra")
     auto = auto_from_grading(grading)
@@ -336,7 +345,7 @@ def psi_check(algebra: StructureAlgebra, grading: ModGrading, box: DegreeBox):
     cwindow = ctower.basis_in_box(box)
     dims_loop_of_centroid = {}
     for e in cwindow:
-        for deg in e.support:
+        for deg in e.rows:
             dims_loop_of_centroid[deg[0]] = (
                 dims_loop_of_centroid.get(deg[0], 0) + 1
             )
@@ -520,7 +529,7 @@ def first_kind_iso_hint(field, rho_a: CycloNumber, rho_b: CycloNumber):
     square test itself is exact: x^2 - ratio either has a root in the field
     or it does not."""
     if not rho_b:
-        raise LoomError("second scalar must be nonzero")
+        raise HypothesisNotMet("second scalar must be nonzero")
     ratio = rho_a * rho_b.inverse()
     sqrt = None
     for root, _ in roots_in_field([-ratio, field.zero, field.one], field):

@@ -19,7 +19,6 @@ from .linalg import (
     identity_matrix,
     kernel_basis,
     mat_mul,
-    rref,
     sparse_columns,
     vec_add,
     vec_scale,
@@ -44,8 +43,9 @@ class FiniteOrderAuto:
         if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
             raise NotAnAutomorphism("matrix shape does not match the algebra")
         self.columns = sparse_columns(self.matrix)
-        _, pivots = rref(self.matrix)
-        if len(pivots) != n:
+        # det = +-chi(0), so a zero constant term means a singular matrix
+        poly = charpoly(self.matrix, self.field)
+        if not poly[0]:
             raise NotAnAutomorphism("matrix is singular")
         basis = algebra.basis()
         images = [self.apply(e) for e in basis]
@@ -60,8 +60,7 @@ class FiniteOrderAuto:
         # the eigenvalues of a matrix of finite order are roots of unity,
         # which are algebraic integers, so its characteristic polynomial
         # has integral coefficients; one that is not means infinite order
-        if not all(c.is_integral()
-                   for c in charpoly(self.matrix, self.field)):
+        if not all(c.is_integral() for c in poly):
             raise NotAnAutomorphism(
                 "characteristic polynomial is not integral, so the "
                 "automorphism has infinite order"

@@ -1,7 +1,7 @@
 """Iterated loop constructions over Laurent polynomial coefficients.
 
 An n-step tower refines a base structure algebra through n graded-loop
-stages.  Elements are stored sparsely as multidegree -> coefficient-vector
+stages.  Elements are stored sparsely as multidegree -> coefficient-row
 maps; nothing is ever truncated silently.  Every infinite-dimensional claim
 (twist stabilization, twist period) is verified on an explicit finite degree
 window and reported as such.
@@ -21,19 +21,9 @@ from .errors import (
     NotAnAutomorphism,
 )
 from .exactnum import CycloNumber, root_of_unity_order
-from .findim import (
-    StructureAlgebra,
-    is_associative,
-    nonzero_terms,
-    property_report,
-)
+from .findim import StructureAlgebra, is_associative, property_report
 from .grading import FiniteOrderAuto
-from .linalg import (
-    SparseEchelon,
-    column_kernel,
-    vec_add,
-    vec_is_zero,
-)
+from .linalg import SparseEchelon, column_kernel
 
 _MATRIX_ORDER_CAP = 4096
 
@@ -103,67 +93,49 @@ def _checked_vector(vec, base_dim):
 class LaurentElement:
     """A base-algebra-valued Laurent polynomial in `arity` variables.
 
-    support maps multidegree tuples to nonzero coefficient vectors; an
-    arity-0 element is a plain vector wrapped with the empty degree ().
+    rows maps multidegree tuples to sparse coefficient rows {coordinate:
+    nonzero scalar}, with no empty row; an arity-0 element is a plain
+    vector wrapped with the empty degree ().  rows is the only stored form:
+    `support` is a dense view built from it, for readers outside the
+    package, and `coefficient` builds one dense vector.
 
-    The constructor zero-tests every coordinate it is given.  The kernels
-    of this layer build their results through two internal constructors
-    that zero-test only what was computed: _from_rows takes sparse rows
-    {degree: {coordinate: scalar}}, and _from_nonzero takes vectors
-    already known to be nonzero, moved unchanged to other degrees.  Both
-    still convert and check every degree.
+    The constructor takes dense vectors and zero-tests every coordinate it
+    is given.  The kernels of this layer build their results through
+    _from_rows, which takes sparse rows {degree: {coordinate: scalar}},
+    zero-tests each scalar (a row's scalars may be sums that cancelled)
+    and still converts and checks every degree.
     """
 
-    __slots__ = ("field", "arity", "base_dim", "support")
+    __slots__ = ("field", "arity", "base_dim", "rows")
 
     def __init__(self, field, arity: int, base_dim: int, support=None):
         self.field = field
         self.arity = arity
         self.base_dim = base_dim
-        clean = {}
+        rows = {}
         if support:
             for deg, vec in support.items():
                 deg = _checked_degree(deg, arity)
-                vec = _checked_vector(vec, base_dim)
-                if not vec_is_zero(vec):
-                    clean[deg] = vec
-        self.support = clean
+                row = {k: c for k, c in
+                       enumerate(_checked_vector(vec, base_dim)) if c}
+                if row:
+                    rows[deg] = row
+        self.rows = rows
 
     @classmethod
-    def _with_support(cls, field, arity, base_dim, support):
+    def _from_rows(cls, field, arity, base_dim, rows):
+        """The element with rows {degree: {coordinate: scalar}}, dropping
+        the scalars that are zero and the rows left empty."""
         x = cls.__new__(cls)
         x.field = field
         x.arity = arity
         x.base_dim = base_dim
-        x.support = support
-        return x
-
-    @classmethod
-    def _from_rows(cls, field, arity, base_dim, rows):
-        """The element with rows {degree: {coordinate: scalar}}: a row's
-        scalars may be sums that cancelled, so each is zero-tested once,
-        and each nonzero row becomes its dense vector."""
-        zero = field.zero
-        support = {}
+        x.rows = {}
         for deg, row in rows.items():
-            vec = None
-            for k, c in row.items():
-                if c:
-                    if vec is None:
-                        vec = [zero] * base_dim
-                    vec[k] = c
-            if vec is not None:
-                support[_checked_degree(deg, arity)] = tuple(vec)
-        return cls._with_support(field, arity, base_dim, support)
-
-    @classmethod
-    def _from_nonzero(cls, field, arity, base_dim, support):
-        """The element with these degrees and vectors, the vectors known
-        to be nonzero, so none is zero-tested again."""
-        return cls._with_support(field, arity, base_dim, {
-            _checked_degree(deg, arity): _checked_vector(vec, base_dim)
-            for deg, vec in support.items()
-        })
+            row = {k: c for k, c in row.items() if c}
+            if row:
+                x.rows[_checked_degree(deg, arity)] = row
+        return x
 
     @classmethod
     def zero(cls, field, arity, base_dim):
@@ -178,18 +150,22 @@ class LaurentElement:
         vec = tuple(vec)
         return cls(field, 0, len(vec), {(): vec})
 
+    @property
+    def support(self):
+        """Dense view {degree: coefficient vector} of the rows."""
+        return {deg: self.coefficient(deg) for deg in self.rows}
+
     def is_zero(self) -> bool:
-        return not self.support
+        return not self.rows
 
     def degrees(self):
-        return sorted(self.support)
+        return sorted(self.rows)
 
     def coefficient(self, degree):
-        degree = tuple(degree)
-        vec = self.support.get(degree)
-        if vec is None:
-            return tuple(self.field.zero for _ in range(self.base_dim))
-        return vec
+        """The dense coefficient vector at a degree, zero where no row is."""
+        row = self.rows.get(tuple(degree), {})
+        zero = self.field.zero
+        return tuple(row.get(k, zero) for k in range(self.base_dim))
 
     def _check_compatible(self, other: "LaurentElement"):
         if (
@@ -200,60 +176,61 @@ class LaurentElement:
             raise DimensionMismatch("laurent elements live in different spaces")
 
     def add(self, other: "LaurentElement") -> "LaurentElement":
-        self._check_compatible(other)
-        support = dict(self.support)
-        for deg, vec in other.support.items():
-            cur = support.get(deg)
-            support[deg] = vec if cur is None else vec_add(cur, vec)
-        return LaurentElement(self.field, self.arity, self.base_dim, support)
+        return self._combine(other, False)
 
     def sub(self, other: "LaurentElement") -> "LaurentElement":
+        return self._combine(other, True)
+
+    def _combine(self, other, negate):
+        """self + other, or self - other when negate is set."""
         self._check_compatible(other)
-        support = dict(self.support)
-        for deg, vec in other.support.items():
-            cur = support.get(deg)
-            support[deg] = (tuple(-x for x in vec) if cur is None
-                            else tuple(a - b for a, b in zip(cur, vec)))
-        return LaurentElement(self.field, self.arity, self.base_dim, support)
+        rows = dict(self.rows)
+        for deg, row in other.rows.items():
+            merged = dict(rows.get(deg, ()))
+            for k, v in row.items():
+                a = merged.get(k)
+                if negate:
+                    merged[k] = -v if a is None else a - v
+                else:
+                    merged[k] = v if a is None else a + v
+            rows[deg] = merged
+        return LaurentElement._from_rows(
+            self.field, self.arity, self.base_dim, rows)
 
     def scale(self, c) -> "LaurentElement":
         if not isinstance(c, CycloNumber):
             c = self.field.from_rational(Fraction(c))
         if c.is_zero():
             return LaurentElement.zero(self.field, self.arity, self.base_dim)
-        # only nonzero entries are multiplied
-        support = {
-            deg: tuple(c * a if a else a for a in vec)
-            for deg, vec in self.support.items()
+        rows = {
+            deg: {k: c * a for k, a in row.items()}
+            for deg, row in self.rows.items()
         }
-        return LaurentElement(self.field, self.arity, self.base_dim, support)
+        return LaurentElement._from_rows(
+            self.field, self.arity, self.base_dim, rows)
 
     def shift(self, offset) -> "LaurentElement":
         """Multiply by the monomial z^offset (degree translation)."""
         offset = tuple(int(d) for d in offset)
         if len(offset) != self.arity:
             raise DimensionMismatch("shift arity mismatch")
-        support = {
-            tuple(d + o for d, o in zip(deg, offset)): vec
-            for deg, vec in self.support.items()
+        rows = {
+            tuple(d + o for d, o in zip(deg, offset)): row
+            for deg, row in self.rows.items()
         }
-        return LaurentElement._from_nonzero(
-            self.field, self.arity, self.base_dim, support)
+        return LaurentElement._from_rows(
+            self.field, self.arity, self.base_dim, rows)
 
     def tensor_last(self, j: int) -> "LaurentElement":
         """Append one variable, placing everything in exponent j."""
-        support = {deg + (int(j),): vec for deg, vec in self.support.items()}
-        return LaurentElement._from_nonzero(
-            self.field, self.arity + 1, self.base_dim, support)
+        rows = {deg + (int(j),): row for deg, row in self.rows.items()}
+        return LaurentElement._from_rows(
+            self.field, self.arity + 1, self.base_dim, rows)
 
     def sparse_items(self):
         """(degree, coordinate) -> scalar view, for echelon bookkeeping."""
-        out = {}
-        for deg, vec in self.support.items():
-            for i, v in enumerate(vec):
-                if v:
-                    out[(deg, i)] = v
-        return out
+        return {(deg, k): v for deg, row in self.rows.items()
+                for k, v in row.items()}
 
     def __eq__(self, other):
         if not isinstance(other, LaurentElement):
@@ -262,18 +239,18 @@ class LaurentElement:
             self.field is other.field
             and self.arity == other.arity
             and self.base_dim == other.base_dim
-            and self.support == other.support
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash(
-            (self.arity, self.base_dim, tuple(sorted(self.support.items())))
-        )
+        return hash((self.arity, self.base_dim, tuple(
+            (deg, tuple(sorted(row.items())))
+            for deg, row in sorted(self.rows.items()))))
 
     def __repr__(self):
         if self.is_zero():
             return "<LaurentElement 0>"
-        return f"<LaurentElement arity {self.arity}, {len(self.support)} terms>"
+        return f"<LaurentElement arity {self.arity}, {len(self.rows)} terms>"
 
 
 def laurent_str(algebra: StructureAlgebra, x: LaurentElement) -> str:
@@ -282,7 +259,7 @@ def laurent_str(algebra: StructureAlgebra, x: LaurentElement) -> str:
         return "0"
     terms = []
     for deg in x.degrees():
-        coeff = algebra.element_str(x.support[deg])
+        coeff = algebra.element_str(x.coefficient(deg))
         mono = " ".join(
             f"z{k + 1}^{d}" if d != 1 else f"z{k + 1}"
             for k, d in enumerate(deg)
@@ -300,23 +277,20 @@ def laurent_multiply(
 ) -> LaurentElement:
     """Convolution product: degrees add, coefficients multiply in the base.
 
-    The nonzero terms of each coefficient are listed once, and for each
-    pair of degrees `StructureAlgebra.add_product` adds the product of the
-    two coefficients into the coefficient at their sum."""
+    For each pair of degrees `StructureAlgebra.add_product` adds the
+    product of the two coefficient rows into the row at their sum."""
     x._check_compatible(y)
     if algebra.dim != x.base_dim:
         raise DimensionMismatch("algebra dimension does not match coefficients")
     coords = range(algebra.dim)
-    y_terms = [(d2, nonzero_terms(v2)) for d2, v2 in y.support.items()]
     acc = {}
-    for d1, v1 in x.support.items():
-        x_terms = nonzero_terms(v1)
-        for d2, terms in y_terms:
+    for d1, r1 in x.rows.items():
+        for d2, r2 in y.rows.items():
             deg = tuple(a + b for a, b in zip(d1, d2))
             row = acc.get(deg)
             if row is None:
                 row = acc[deg] = {}
-            algebra.add_product(row, coords, x_terms, terms)
+            algebra.add_product(row, coords, r1.items(), r2.items())
     return LaurentElement._from_rows(x.field, x.arity, x.base_dim, acc)
 
 
@@ -421,40 +395,35 @@ class ToralMonomialAuto:
                 f"element has {x.arity}"
             )
         return LaurentElement._from_rows(
-            x.field, x.arity, x.base_dim, self._image_rows(_terms(x)))
+            x.field, x.arity, x.base_dim, self._image_rows(x.rows))
 
-    def _image_rows(self, terms):
-        """The twist of the terms (degree, [(coordinate, scalar)]) as rows
-        {degree: {coordinate: scalar}}.  Only the columns of theta at the
-        given coordinates are read, each scalar first multiplied by the
-        character value of its degree; a row's scalars may cancel to zero."""
+    def _image_rows(self, rows):
+        """The twist of the rows {degree: {coordinate: scalar}}, as rows.
+        Only the columns of theta at the given coordinates are read, each
+        scalar first multiplied by the character value of its degree; a
+        row's scalars may cancel to zero."""
         k = self.arity
         columns = self.theta.columns
         c_vector, powers, order = self.c_vector, self.powers, self.root_order
-        rows = {}
-        for deg, pairs in terms:
+        out = {}
+        for deg, coeffs in rows.items():
             head = deg[:k]
             e = sum(c * d for c, d in zip(c_vector, head)) % order
             ndeg = self.degree_image(head) + deg[k:]
-            row = rows.get(ndeg)
+            row = out.get(ndeg)
             if row is None:
-                row = rows[ndeg] = {}
-            for j, a in pairs:
+                row = out[ndeg] = {}
+            for j, a in coeffs.items():
                 if e:
                     a = powers[e] * a
                 for i, c in columns[j]:
                     t = c * a
                     cur = row.get(i)
                     row[i] = t if cur is None else cur + t
-        return rows
+        return out
 
     def __repr__(self):
         return f"<ToralMonomialAuto arity {self.arity}>"
-
-
-def _terms(x: LaurentElement):
-    """x as terms (degree, [(coordinate, scalar)]) of nonzero scalars."""
-    return [(deg, nonzero_terms(vec)) for deg, vec in x.support.items()]
 
 
 def _root_powers(zeta: CycloNumber):
@@ -618,14 +587,14 @@ class LoopTower:
                      if period is not None)
 
     def member_degree(self, x: LaurentElement):
-        """A degree of a window member's support, checked to share its
-        slice with the whole support."""
-        if len({self.degree_slice(deg) for deg in x.support}) != 1:
+        """A degree of a window member's rows, checked to share its slice
+        with every other degree of its rows."""
+        if len({self.degree_slice(deg) for deg in x.rows}) != 1:
             raise InvariantViolated(
                 "window member is not homogeneous in the variables with a "
                 "period"
             )
-        return next(iter(x.support))
+        return next(iter(x.rows))
 
     # -- window bases ------------------------------------------------------
 
@@ -702,33 +671,27 @@ def tower_membership(tower: LoopTower, x: LaurentElement) -> bool:
     """Stage-by-stage test; exact, no window involved.  x is a member
     exactly when, for every stage p, sigma_p (acting on the first p - 1
     variables) scales each monomial of x by zeta_p^(g_p), g_p its z_p
-    exponent; the first failing stage decides.  x's nonzero terms are
-    listed once: each stage's image is built from them, and only they are
-    scaled into the vector each image coefficient must equal.  The
-    routine that decides membership of a given element (member_projection
-    poses the linear systems in unknown ones)."""
+    exponent; the first failing stage decides.  Each stage's image is
+    built from x's rows, and each image row must equal x's row at its
+    degree with every scalar scaled.  The routine that decides membership
+    of a given element (member_projection poses the linear systems in
+    unknown ones)."""
     if x.arity != tower.n:
         raise DimensionMismatch(
             f"element arity {x.arity}, tower has {tower.n} stages"
         )
-    zero = x.field.zero
-    terms = _terms(x)
+    rows = x.rows
     for p, stage in enumerate(tower.stages):
         powers, m = stage.powers, stage.modulus
         image = LaurentElement._from_rows(
-            x.field, x.arity, x.base_dim, stage.twist._image_rows(terms)
-        ).support
-        if len(image) != len(terms):
+            x.field, x.arity, x.base_dim, stage.twist._image_rows(rows)
+        ).rows
+        if len(image) != len(rows):
             return False
-        for deg, pairs in terms:
-            vec = image.get(deg)
-            if vec is None:
-                return False
+        for deg, row in rows.items():
             e = deg[p] % m
-            want = [zero] * x.base_dim
-            for k, b in pairs:
-                want[k] = powers[e] * b if e else b
-            if vec != tuple(want):
+            want = {k: powers[e] * b for k, b in row.items()} if e else row
+            if image.get(deg) != want:
                 return False
     return True
 
@@ -746,8 +709,8 @@ def member_projection(tower: LoopTower, y: LaurentElement) -> LaurentElement:
     the shifts by the degree periods, so single-monomial projections are
     memoized per tower by (class representative, coordinate), the
     representative being the first degree of the class at or above 0, and
-    each cached piece, stored as its nonzero terms, is shifted back onto
-    the degree asked for."""
+    each cached piece, stored as its rows, is shifted back onto the degree
+    asked for."""
     if y.arity != tower.n:
         raise DimensionMismatch(
             f"element arity {y.arity}, tower has {tower.n} stages"
@@ -756,22 +719,22 @@ def member_projection(tower: LoopTower, y: LaurentElement) -> LaurentElement:
     origin = (0,) * tower.n
     rows = {}
     memo = tower._proj_memo
-    for g, pairs in _terms(y):
+    for g, coeffs in y.rows.items():
         shift = tower.class_shift(g, origin)
         moved = any(shift)
         rep = tuple(a - s for a, s in zip(g, shift)) if moved else g
-        for i, c in pairs:
+        for i, c in coeffs.items():
             cached = memo.get((rep, i))
             if cached is None:
                 cached = memo[(rep, i)] = _project_once(tower, rep, i)
             unit = c == one
-            for deg, piece in cached:
+            for deg, piece in cached.items():
                 if moved:
                     deg = tuple(a + s for a, s in zip(deg, shift))
                 row = rows.get(deg)
                 if row is None:
                     row = rows[deg] = {}
-                for k, v in piece:
+                for k, v in piece.items():
                     if not unit:
                         v = c * v
                     cur = row.get(k)
@@ -780,41 +743,40 @@ def member_projection(tower: LoopTower, y: LaurentElement) -> LaurentElement:
 
 
 def _project_once(tower: LoopTower, degree, coordinate):
-    """E_n ... E_1 of the monomial e_coordinate (x) z^degree, as its
-    nonzero terms (degree, [(coordinate, scalar)]), where
+    """E_n ... E_1 of the monomial e_coordinate (x) z^degree, as rows
+    {degree: {coordinate: nonzero scalar}} with no empty row, where
     E_p = (1/m_p) sum_t zeta_p^(-g_p t) sigma_p^t on each monomial of z_p
     exponent g_p.  sigma_p keeps the exponents from the p-th on, so
     applied innermost first this unrolls the recursion
     L_n = L(L_(n-1), sigma_n)."""
     field = tower.field
-    terms = [(degree, [(coordinate, field.one)])]
+    rows = {degree: {coordinate: field.one}}
     for p, stage in enumerate(tower.stages):
         twist, m, powers = stage.twist, stage.modulus, stage.powers
         inv_m = field.from_rational(Fraction(1, m))
         acc = {}
-        cur = terms
+        cur = rows
         for t in range(m):
             if t:
-                cur = [(deg, row.items())
-                       for deg, row in twist._image_rows(cur).items()]
-            for deg, pairs in cur:
+                cur = twist._image_rows(cur)
+            for deg, coeffs in cur.items():
                 e = -deg[p] * t % m
                 row = acc.get(deg)
                 if row is None:
                     row = acc[deg] = {}
-                for k, v in pairs:
+                for k, v in coeffs.items():
                     if e:
                         v = powers[e] * v
                     a = row.get(k)
                     row[k] = v if a is None else a + v
-        terms = []
+        rows = {}
         for deg, row in acc.items():
-            pairs = [(k, inv_m * v) for k, v in row.items() if v]
-            if pairs:
-                terms.append((deg, pairs))
-        if not terms:
+            row = {k: inv_m * v for k, v in row.items() if v}
+            if row:
+                rows[deg] = row
+        if not rows:
             break
-    return terms
+    return rows
 
 
 def canonical_form(tower: LoopTower, y: LaurentElement):
@@ -919,30 +881,30 @@ def _covers_inner_window(tower: LoopTower, window, inner, lie: bool,
     for y in inner:
         pending.setdefault(tower.degree_slice(tower.member_degree(y)),
                            []).append(y.sparse_items())
-    members = []  # (slice, nonzero terms by degree), in window order
-    by_slice = {}  # slice -> [(window index, nonzero terms by degree)]
+    members = []  # (slice, rows), in window order
+    by_slice = {}  # slice -> [(window index, rows)]
     for t, b in enumerate(window):
         key = tower.degree_slice(tower.member_degree(b))
-        terms = [(deg, nonzero_terms(vec)) for deg, vec in b.support.items()]
-        members.append((key, terms))
-        by_slice.setdefault(key, []).append((t, terms))
+        members.append((key, b.rows))
+        by_slice.setdefault(key, []).append((t, b.rows))
     keys = {}  # degree -> the row keys (degree, k) of its coordinates
 
     def rows(target):
-        for i, (key, a_terms) in enumerate(members):
+        for i, (key, a_rows) in enumerate(members):
             partner = tuple(g - h for g, h in zip(target, key))
-            for j, b_terms in by_slice.get(partner, ()):
+            for j, b_rows in by_slice.get(partner, ()):
                 if unordered and (j <= i if lie else j < i):
                     continue
                 row = {}
-                for d1, x_terms in a_terms:
-                    for d2, y_terms in b_terms:
+                for d1, x_row in a_rows.items():
+                    for d2, y_row in b_rows.items():
                         deg = tuple(p + q for p, q in zip(d1, d2))
                         deg_keys = keys.get(deg)
                         if deg_keys is None:
                             deg_keys = keys[deg] = tuple(
                                 (deg, k) for k in range(base.dim))
-                        base.add_product(row, deg_keys, x_terms, y_terms)
+                        base.add_product(row, deg_keys, x_row.items(),
+                                         y_row.items())
                 yield row
 
     for target in sorted(pending):
@@ -983,7 +945,7 @@ def inherited_flags(tower: LoopTower):
     vanishes and the terms a_d . a_e, a_e . a_d cancel).  Any other base
     takes every ordered pair.  The row of a pair is summed by
     `StructureAlgebra.add_product` straight under its (degree, coordinate)
-    keys, from the nonzero terms of each member, listed once."""
+    keys, from the rows of each member."""
     base_report = property_report(tower.base)
     base = tower.base
 

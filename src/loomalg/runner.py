@@ -83,7 +83,7 @@ def _scalar_laurent_str(x: LaurentElement) -> str:
     one = x.field.one
     parts = []
     for deg in x.degrees():
-        c = x.support[deg][0]
+        c = x.coefficient(deg)[0]
         mono = _mono_str(deg)
         if mono == "1":
             parts.append(str(c))

@@ -219,9 +219,14 @@ def swap_sum_tower():
 
 
 def assert_clean_support(x: LaurentElement, arity: int, base_dim: int):
-    """x has integer degrees of the given arity and nonzero coefficient
-    tuples of length base_dim, as the validating constructor leaves them."""
+    """x's rows hold only nonzero scalars at coordinates below base_dim,
+    with no empty row, and its dense view has integer degrees of the given
+    arity and nonzero coefficient tuples of length base_dim, as the
+    validating constructor leaves them."""
     assert (x.arity, x.base_dim) == (arity, base_dim)
+    for row in x.rows.values():
+        assert row and all(row.values())
+        assert all(type(k) is int and 0 <= k < base_dim for k in row)
     for deg, vec in x.support.items():
         assert type(deg) is tuple and len(deg) == arity
         assert all(type(g) is int for g in deg)

@@ -808,3 +808,32 @@ def test_first_kind_iso_hint_rejects_zero_divisor():
     field = CycloField(2)
     with pytest.raises(LoomError):
         first_kind_iso_hint(field, field.one, field.zero)
+
+
+def test_centroid_loop_errors_carry_their_codes():
+    # arity checks raise DimensionMismatch, as LoopTower.basis_in_box does,
+    # and unmet preconditions HypothesisNotMet; none keeps the generic code
+    qt = quantum_torus_tower(2)["tower"]
+    fix = swap_sum_fixture()
+    field = CycloField(2)
+    sl2 = sl_algebra(2, field)
+    maps = centroid_algebra(qt.base)[1]
+    u = LaurentElement.monomial(qt.field, 1, len(maps), (0,),
+                                (qt.field.one,) * len(maps))
+    x = qt.basis_in_box(DegreeBox((1, 1)))[0]
+    cases = [
+        ("dimension-mismatch", lambda: centroid_action(maps, u, x)),
+        ("dimension-mismatch",
+         lambda: stabilizer_in_box(qt, DegreeBox((2,)))),
+        ("hypothesis-not-met",
+         lambda: stabilizer_in_box(LoopTower(sl2, []), DegreeBox(()))),
+        ("dimension-mismatch",
+         lambda: psi_check(fix["algebra"], fix["grading"],
+                           DegreeBox((2, 2)))),
+        ("hypothesis-not-met",
+         lambda: first_kind_iso_hint(field, field.one, field.zero)),
+    ]
+    for code, call in cases:
+        with pytest.raises(LoomError) as info:
+            call()
+        assert info.value.code == code

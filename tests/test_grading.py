@@ -101,7 +101,7 @@ def test_auto_rejects_bad_shapes_and_singularity():
     with pytest.raises(NotAnAutomorphism):
         FiniteOrderAuto(alg, ((F2.one, F2.zero),))
     zero_m = tuple(tuple(F2.zero for _ in range(3)) for _ in range(3))
-    with pytest.raises(NotAnAutomorphism):
+    with pytest.raises(NotAnAutomorphism, match="singular"):
         FiniteOrderAuto(alg, zero_m)
 
 

@@ -69,6 +69,21 @@ def test_scalar_layout_stays_in_exactnum():
     assert found == []
 
 
+
+def test_dense_laurent_view_stays_out_of_src():
+    # a LaurentElement stores only its sparse rows; the dense `support`
+    # view is built for the bench and the dense test oracles, so no module
+    # of the package reads it (its definition in loops.py is a property,
+    # not a read)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno} .support"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr == "support"]
+    assert found == []
+
 def test_product_table_stays_in_findim():
     # only findim reads an algebra's sparse product table, so its layout
     # can change without touching any caller

@@ -5,7 +5,8 @@ centroid_action read only nonzero coordinates and build their results from
 sparse rows; tests/helpers.py keeps the dense versions they replaced.  Each
 kernel is compared with its oracle on every registry tower and on a tower
 whose centroid is not the scalars, on drawn elements and on sums whose
-coefficients cancel, and every producer must leave a clean support."""
+coefficients cancel, and every producer must leave clean rows, the one
+form a LaurentElement stores."""
 
 from __future__ import annotations
 
@@ -146,6 +147,48 @@ def test_kernels_match_the_oracles_on_cancelling_sums(name):
             tower, defect)
 
 
+@st.composite
+def stored_forms(draw):
+    """(field, arity, base_dim, dense support, rows) of one element.  The
+    support's vectors may hold zeros or be zero.  The rows hold the same
+    scalars with degrees and coordinates in shuffled order, some nonzero
+    scalars written as sums, the zeros as sums that cancel or left out,
+    and one more row, outside the support, whose entries all cancel."""
+    tower = _TOWERS[draw(st.sampled_from(_NAMES))]
+    field, n, d = tower.field, tower.n, tower.base.dim
+    one = field.one
+    support = {}
+    for deg in draw(st.lists(st.sampled_from(_BOX.degrees()), max_size=4,
+                             unique=True)):
+        support[deg] = tuple(field.from_rational(draw(st.integers(-2, 2)))
+                             for _ in range(d))
+    gone = (3,) * n  # outside _BOX, so never a degree of the support
+    rows = {gone: {k: one - one for k in range(d)}}
+    for deg in draw(st.permutations(list(support))):
+        row = rows[deg] = {}
+        for k in draw(st.permutations(range(d))):
+            c = support[deg][k]
+            if c:
+                row[k] = (c + one) - one if draw(st.booleans()) else c
+            elif draw(st.booleans()):
+                row[k] = one - one
+    shuffled = draw(st.permutations(list(rows)))
+    return field, n, d, support, {deg: rows[deg] for deg in shuffled}
+
+
+@given(stored_forms())
+def test_both_constructors_store_one_clean_form(case):
+    field, n, d, support, rows = case
+    x = LaurentElement(field, n, d, support)
+    y = LaurentElement._from_rows(field, n, d, rows)
+    assert x == y and hash(x) == hash(y)
+    for z in (x, y):
+        assert_clean_support(z, n, d)
+    assert LaurentElement(field, n, d, x.support) == x
+    assert sorted(x.rows) == sorted(
+        deg for deg, vec in support.items() if any(vec))
+
+
 @pytest.mark.parametrize("name", _NAMES)
 def test_every_producer_leaves_a_clean_support(name):
     built = _TOWERS[name]
@@ -175,31 +218,42 @@ def test_every_producer_leaves_a_clean_support(name):
     for u in stab.elements:
         assert_clean_support(u, n, len(maps))
         assert_clean_support(centroid_action(maps, u, x), n, d)
-    # the projection memo holds nonzero terms at integer degrees
+    # the projection memo holds clean rows at integer degrees
     for (rep, i), piece in tower._proj_memo.items():
-        for deg, pairs in piece:
+        for deg, row in piece.items():
             assert len(deg) == n and all(type(g) is int for g in deg)
-            assert pairs and all(c for _, c in pairs)
-            assert all(0 <= k < d for k, _ in pairs)
+            assert row and all(row.values())
+            assert all(0 <= k < d for k in row)
 
 
 def test_sparse_constructors_still_check_degrees():
-    # the internal constructors skip zero tests, not the degree checks
+    # _from_rows converts every degree to ints and checks its arity, and
+    # shift and tensor_last build through it; the public constructor also
+    # checks the length of each dense vector
     tower = _TOWERS["quantum-torus-2"]
     field, d = tower.field, tower.base.dim
     vec = tuple(field.one for _ in range(d))
     with pytest.raises(loops.DimensionMismatch):
         LaurentElement._from_rows(field, 2, d, {(1,): {0: field.one}})
     with pytest.raises(loops.DimensionMismatch):
-        LaurentElement._from_nonzero(field, 2, d, {(1, 2, 3): vec})
+        LaurentElement._from_rows(field, 2, d, {(1, 2, 3): {0: field.one}})
     with pytest.raises(loops.DimensionMismatch):
-        LaurentElement._from_nonzero(field, 2, d, {(1, 2): vec[1:]})
+        LaurentElement(field, 2, d, {(1, 2): vec[1:]})
     x = LaurentElement._from_rows(field, 2, d, {
         (Fraction(4, 2), 0): {1: field.one, 0: field.zero},
         (0, 0): {0: field.one - field.one},
     })
-    assert list(x.support) == [(2, 0)] and type(next(iter(x.support))[0]) is int
-    assert x.support[(2, 0)] == (field.zero, field.one) + (field.zero,) * (d - 2)
+    assert x.rows == {(2, 0): {1: field.one}}
+    assert x.support == {
+        (2, 0): (field.zero, field.one) + (field.zero,) * (d - 2)}
+    with pytest.raises(loops.DimensionMismatch):
+        x.shift((1,))
+    shifted = x.shift((Fraction(-2), Fraction(6, 3)))
+    tensored = x.tensor_last(Fraction(3))
+    assert shifted.rows == {(0, 2): {1: field.one}}
+    assert tensored.rows == {(2, 0, 3): {1: field.one}}
+    for y in (x, shifted, tensored):
+        assert all(type(g) is int for g in next(iter(y.rows)))
 
 
 def test_membership_sees_a_coordinate_the_twist_never_touches():
